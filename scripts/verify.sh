@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification matrix: configure, build and test every CMake
-# preset (default, asan, ubsan, tsan), then gate the perf report
-# against the committed baseline with perf_report_diff.
+# preset (default, asan, ubsan), then gate the perf report against the
+# committed baseline with perf_report_diff.
 #
 #   scripts/verify.sh                 # everything
 #   AGENTSIM_PRESETS="default" scripts/verify.sh   # subset
@@ -10,73 +10,58 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-read -ra presets <<< "${AGENTSIM_PRESETS:-default asan ubsan tsan}"
+read -ra presets <<< "${AGENTSIM_PRESETS:-default asan ubsan}"
 jobs="${JOBS:-$(nproc)}"
 
 for preset in "${presets[@]}"; do
     echo "==> preset: ${preset}"
     cmake --preset "${preset}" > /dev/null
-    if [[ "${preset}" == "tsan" ]]; then
-        # TSan exists to race-check the parallel engine; building and
-        # running the whole single-threaded matrix under it would
-        # triple verify time for no extra signal.
-        cmake --build --preset tsan -j "${jobs}" \
-            --target parallel_sim_test sim_throughput
-        ctest --preset tsan -j "${jobs}" -R 'BucketQueue|FramePool|Sharded'
-        build-tsan/bench/sim_throughput --smoke > /dev/null
-    else
-        cmake --build --preset "${preset}" -j "${jobs}"
-        ctest --preset "${preset}" -j "${jobs}"
-    fi
+    cmake --build --preset "${preset}" -j "${jobs}"
+    ctest --preset "${preset}" -j "${jobs}"
 done
+
+# Every gate below writes into one scratch directory, removed on exit.
+work="$(mktemp -d)"
+trap 'rm -rf "${work}"' EXIT
 
 # Perf regression gate: regenerate the baseline bench's report with
 # the default-preset build and diff it against the committed one.
 # Sim-domain metrics are deterministic, so any drift is a real
 # behaviour change; sim_* self-timing entries are informational only.
 echo "==> perf report gate (fig14_qps_sweep vs BENCH_agentsim.json)"
-report="$(mktemp)"
-trace="$(mktemp)"
-prom="$(mktemp)"
-trap 'rm -f "${report}" "${trace}" "${prom}"' EXIT
-build/bench/fig14_qps_sweep --report "${report}" > /dev/null
+build/bench/fig14_qps_sweep --report "${work}/report.json" > /dev/null
 # The relative diff never gates host-noisy sim_* metrics, so the
 # simulator's own throughput gets an absolute catastrophe floor
 # instead (docs/DETERMINISM.md "What is exempt"). 50k events/s is
 # ~5x below what a 1-core container sustains.
-build/bench/perf_report_diff BENCH_agentsim.json "${report}" \
+build/bench/perf_report_diff BENCH_agentsim.json "${work}/report.json" \
     --threshold "${AGENTSIM_PERF_THRESHOLD:-0.05}" \
     --floor "sim_events_per_second=${AGENTSIM_EVENTS_FLOOR:-50000}"
-
-# Parallel-engine gate: determinism (parallel == sequential,
-# run-to-run) is asserted inside the bench at every shard count; the
-# same events/s floor applies to its sharded throughput headline.
-echo "==> parallel engine gate (sim_throughput --smoke)"
-sim_report="$(mktemp)"
-trap 'rm -f "${report}" "${trace}" "${prom}" "${sim_report}"' EXIT
-build/bench/sim_throughput --smoke --report "${sim_report}" > /dev/null
-build/bench/perf_report_diff "${sim_report}" "${sim_report}" \
-    --floor "sim_events_per_second=${AGENTSIM_EVENTS_FLOOR:-50000}" \
-    > /dev/null
 
 # Trace-validity gate: a smoke serving run must emit a parseable
 # Chrome trace with balanced span exemplars and a non-empty blame
 # export (DESIGN.md §3g).
 echo "==> trace validity gate (tail_blame --smoke)"
-build/bench/tail_blame --smoke --trace "${trace}" \
-    --metrics "${prom}" > /dev/null
-python3 scripts/check_trace.py "${trace}" "${prom}"
+build/bench/tail_blame --smoke --trace "${work}/trace.json" \
+    --metrics "${work}/metrics.prom" > /dev/null
+python3 scripts/check_trace.py "${work}/trace.json" "${work}/metrics.prom"
 
 # Incident-capture gate: the chaos smoke run's injected engine stalls
 # must trip the SLO burn alerter and dump at least one incident
 # bundle whose window and blame table pass schema validation
 # (DESIGN.md §3i).
 echo "==> incident capture gate (chaos_slo --smoke --flight-record)"
-incidents="$(mktemp -d)"
-trap 'rm -f "${report}" "${trace}" "${prom}"; rm -rf "${incidents}"' EXIT
 build/bench/chaos_slo --smoke --flight-record \
-    --incident-dir "${incidents}" > /dev/null
-python3 scripts/check_trace.py --bundle "${incidents}"
+    --incident-dir "${work}/incidents" > /dev/null
+python3 scripts/check_trace.py --bundle "${work}/incidents"
+
+# Host-performance benchmark self-test: builds src/ in Release into
+# .bench_build and checks the four workloads against their seeded
+# reference values and the traced binary's -Wl,--wrap entry points.
+if [[ " ${presets[*]} " == *" default "* ]]; then
+    echo "==> perfbench self-test (perfbench/test_perfbench.py)"
+    python3 perfbench/test_perfbench.py
+fi
 
 # Chaos/recovery gate: both chaos smokes must pass under asan — the
 # crash/resume path (checkpointed state, parked tier blocks,

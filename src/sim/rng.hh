@@ -11,12 +11,13 @@
  * hash of (global seed, stream name, stream index).
  *
  * Thread confinement (docs/DETERMINISM.md): an Rng is a plain value
- * with no shared or global state, so the parallel engine needs no RNG
- * locking — each shard's streams live in that shard's processes and
- * are only ever touched by its worker thread inside a window. The
- * draw *order within one stream* is part of the determinism contract;
- * keep a stream owned by exactly one coroutine/process and give new
- * consumers their own named stream instead of sharing one.
+ * with no shared or global state, so simulations that one process
+ * hosts on different threads need no RNG locking — each simulation's
+ * streams live in its own processes and are only ever touched by the
+ * thread that runs it. The draw *order within one stream* is part of
+ * the determinism contract; keep a stream owned by exactly one
+ * coroutine/process and give new consumers their own named stream
+ * instead of sharing one.
  */
 
 #ifndef AGENTSIM_SIM_RNG_HH
@@ -62,7 +63,7 @@ hashCombine(std::uint64_t a, std::uint64_t b)
  * A deterministic pseudo-random stream (xoshiro256**).
  *
  * Cheap to construct; copyable. Not thread safe — confine each
- * instance to one shard/process (see the file comment).
+ * instance to one simulation/process (see the file comment).
  */
 class Rng
 {

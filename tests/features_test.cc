@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string_view>
 
 #include "agents/workflows.hh"
 #include "core/cluster.hh"
@@ -884,6 +885,54 @@ TEST(Cluster, Deterministic)
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
 }
 
+TEST(Cluster, FullResultIsRunToRunDeterministic)
+{
+    // Beyond the headline numbers: per-node routing, per-node hit
+    // rates and every latency sample repeat for each policy.
+    for (auto policy : {core::RoutePolicy::RoundRobin,
+                        core::RoutePolicy::CacheAffinity}) {
+        const auto a = core::runCluster(smallCluster(policy));
+        const auto b = core::runCluster(smallCluster(policy));
+        const std::string_view name = core::routePolicyName(policy);
+        EXPECT_EQ(a.completed, b.completed) << name;
+        EXPECT_EQ(a.retries, b.retries) << name;
+        EXPECT_EQ(a.e2eSeconds.values(), b.e2eSeconds.values()) << name;
+        EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds) << name;
+        ASSERT_EQ(a.nodes.size(), b.nodes.size()) << name;
+        for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+            EXPECT_EQ(a.nodes[i].requests, b.nodes[i].requests) << name;
+            EXPECT_DOUBLE_EQ(a.nodes[i].cacheHitRate,
+                             b.nodes[i].cacheHitRate)
+                << name;
+        }
+    }
+}
+
+TEST(Cluster, MixCompositionStableAcrossNodeCounts)
+{
+    // Arrivals and mix choices come from the seed's own named streams
+    // ("cluster.arrivals", "cluster.mix"), so the number of requests
+    // of each workload component does not depend on the cluster size
+    // even though queueing differs.
+    auto one = smallCluster(core::RoutePolicy::LeastLoaded);
+    one.numNodes = 1;
+    auto four = one;
+    four.numNodes = 4;
+    const auto r1 = core::runCluster(one);
+    const auto r4 = core::runCluster(four);
+    EXPECT_EQ(r1.completed, 60);
+    EXPECT_EQ(r4.completed, 60);
+    ASSERT_EQ(r1.perWorkloadSeconds.size(), 3u);
+    ASSERT_EQ(r4.perWorkloadSeconds.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(r1.perWorkloadSeconds[k].count(),
+                  r4.perWorkloadSeconds[k].count())
+            << "component " << k;
+    }
+    // More nodes serve the same offered load with less queueing.
+    EXPECT_LT(r4.p95(), r1.p95());
+}
+
 TEST(Chaos, ClusterSurvivesNodeCrashes)
 {
     auto cfg = smallCluster(core::RoutePolicy::LeastLoaded);
@@ -1493,6 +1542,56 @@ TEST(ClusterValidation, RejectsNonsensicalConfigs)
         cfg.autoscaler.scaleInUtilization = 0.9; // >= target 0.75
         EXPECT_DEATH(core::validateClusterConfig(cfg),
                      "hysteresis");
+    }
+}
+
+TEST(ClusterValidation, RejectsMalformedBasics)
+{
+    const auto valid = [] {
+        core::ClusterConfig cfg;
+        cfg.numNodes = 2;
+        cfg.engineConfig = core::enginePreset8b();
+        core::WorkloadSpec chat;
+        chat.chatbot = true;
+        cfg.mix.push_back(chat);
+        return cfg;
+    };
+    core::validateClusterConfig(valid());
+    {
+        auto cfg = valid();
+        cfg.numNodes = 0;
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "numNodes must be >= 1");
+    }
+    {
+        auto cfg = valid();
+        cfg.mix.clear();
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "workload mix is empty");
+    }
+    {
+        auto cfg = valid();
+        cfg.mix[0].weight = 0.0;
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "weight must be > 0");
+    }
+    {
+        auto cfg = valid();
+        cfg.qps = 0.0;
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "qps must be > 0");
+    }
+    {
+        auto cfg = valid();
+        cfg.numRequests = 0;
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "numRequests must be >= 1");
+    }
+    {
+        auto cfg = valid();
+        cfg.retry.maxAttempts = 0;
+        EXPECT_DEATH(core::validateClusterConfig(cfg),
+                     "maxAttempts must be >= 1");
     }
 }
 

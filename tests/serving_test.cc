@@ -12,6 +12,7 @@
 #include "llm/hardware.hh"
 #include "llm/model_spec.hh"
 #include "serving/engine.hh"
+#include "sim/awaitable.hh"
 #include "workload/token_stream.hh"
 
 namespace
@@ -284,6 +285,43 @@ TEST(Engine, ManyConcurrentRequestsAllComplete)
     }
     EXPECT_EQ(engine.stats().requestsCompleted, 32);
     EXPECT_GT(engine.batchGauge().max(), 1.0);
+}
+
+TEST(Engine, StaggeredWorkloadIsRunToRunDeterministic)
+{
+    // Staggered arrivals with growing prompts, replayed on fresh
+    // simulations: every per-request timing, the event count and the
+    // final clock must repeat exactly.
+    auto digest = [] {
+        Simulation sim;
+        LlmEngine engine(sim, smallConfig());
+        std::vector<Task<GenResult>> tasks;
+        for (int i = 0; i < 6; ++i) {
+            tasks.push_back([](Simulation &s, LlmEngine &eng,
+                               int idx) -> Task<GenResult> {
+                co_await sim::delay(s, idx * 1000);
+                co_return co_await submit(eng, prompt(7, 200 + idx * 40),
+                                          30 + idx);
+            }(sim, engine, i));
+        }
+        sim.run();
+        std::vector<double> d;
+        for (auto &t : tasks) {
+            const GenResult r = t.result();
+            EXPECT_FALSE(r.failed);
+            d.push_back(static_cast<double>(r.promptTokens));
+            d.push_back(static_cast<double>(r.tokens.size()));
+            d.push_back(r.ttftSeconds);
+            d.push_back(r.totalSeconds);
+        }
+        d.push_back(static_cast<double>(sim.processedEvents()));
+        d.push_back(sim.nowSec());
+        return d;
+    };
+    const auto a = digest();
+    const auto b = digest();
+    ASSERT_EQ(a.size(), 26u);
+    EXPECT_EQ(a, b);
 }
 
 TEST(Engine, SharedPrefixAcrossConcurrentRequests)
