@@ -178,6 +178,83 @@ TEST(Serving, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.energyWh, b.energyWh);
 }
 
+// ---------------------------------------------------------------
+// Golden results for the serving modes outside the perfbench
+// reference and the fig14 baseline: multi-turn sessions and
+// closed-loop issue. Any change to these figures is a behaviour
+// change and must be stated as one.
+// ---------------------------------------------------------------
+
+struct ServeGolden
+{
+    int completed;
+    double p50;
+    double p95;
+    std::size_t turns;
+    std::size_t ttfts;
+    std::int64_t steps;
+    std::int64_t prefillTokens;
+    std::int64_t decodeTokens;
+    double events;
+    double ledgerGpuSeconds;
+};
+
+void
+expectGolden(const core::ServeResult &r, const ServeGolden &g)
+{
+    EXPECT_EQ(r.completed, g.completed);
+    EXPECT_DOUBLE_EQ(r.p50(), g.p50);
+    EXPECT_DOUBLE_EQ(r.p95(), g.p95);
+    EXPECT_EQ(r.turnSeconds.count(), g.turns);
+    EXPECT_EQ(r.ttftSeconds.count(), g.ttfts);
+    EXPECT_EQ(r.engineStats.steps, g.steps);
+    EXPECT_EQ(r.engineStats.prefillTokens, g.prefillTokens);
+    EXPECT_EQ(r.engineStats.decodeTokens, g.decodeTokens);
+    EXPECT_DOUBLE_EQ(r.simEventsProcessed, g.events);
+    EXPECT_DOUBLE_EQ(r.totalCost.gpuSeconds(), g.ledgerGpuSeconds);
+}
+
+TEST(ServingGolden, MultiTurnSessions)
+{
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.multiTurn = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.qps = 0.5;
+    cfg.numRequests = 20;
+    cfg.seed = 2026;
+    expectGolden(core::runServing(cfg),
+                 {20, 12.8058385, 65.357550450000005, 42, 42, 4931,
+                  6493, 8541, 5025, 83.789877019212852});
+}
+
+TEST(ServingGolden, ClosedLoopChat)
+{
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.closedLoop = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.numRequests = 20;
+    cfg.seed = 2026;
+    expectGolden(core::runServing(cfg),
+                 {20, 3.6946649999999996, 6.1601380500000023, 0, 20,
+                  4548, 7252, 4522, 4588, 76.068978128389006});
+}
+
+TEST(ServingGolden, ClosedLoopReact)
+{
+    ServeConfig cfg;
+    cfg.agent = AgentKind::ReAct;
+    cfg.bench = Benchmark::HotpotQA;
+    cfg.closedLoop = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.numRequests = 6;
+    cfg.seed = 2026;
+    expectGolden(core::runServing(cfg),
+                 {6, 14.3923045, 19.636518500000001, 0, 0, 2784, 8120, 2748,
+                  2887, 47.140943248240717});
+}
+
 TEST(Table, RendersAlignedCells)
 {
     core::Table t("Demo");
