@@ -60,6 +60,9 @@ routePolicyName(RoutePolicy policy)
 namespace
 {
 
+/** Cadence of the KV-pressure/burn-rate/queue-depth monitor, s. */
+constexpr double kMonitorPeriodSeconds = 1.0;
+
 /** One serving node: an engine plus its per-benchmark tool belts. */
 struct Node
 {
@@ -264,7 +267,7 @@ struct Router
 
 void
 noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
-               std::size_t workload_index)
+               std::size_t workload_index, bool solved)
 {
     if (state.firstSubmit < 0)
         state.firstSubmit = submit;
@@ -273,6 +276,7 @@ noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
     state.result.e2eSeconds.add(seconds);
     state.result.perWorkloadSeconds[workload_index].add(seconds);
     ++state.result.completed;
+    state.result.solved += solved ? 1 : 0;
 }
 
 void
@@ -557,7 +561,8 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
             state.result.episodeCost += result.cost;
             if (state.checkpoints != nullptr)
                 state.checkpoints->erase(index);
-            noteCompletion(state, submit, sim.now(), workload_index);
+            noteCompletion(state, submit, sim.now(), workload_index,
+                           result.solved);
             co_return;
         } catch (const agents::DeadlineExceededError &) {
             // The SLO is already blown; a retry cannot un-miss it.
@@ -634,126 +639,186 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
     }
 }
 
+/**
+ * One chat request: a single-turn ShareGPT query or, in multi-turn
+ * mode, a conversation session whose turns extend one context
+ * (keytakeaway #8's cross-query prefix persistence). Each turn is one
+ * attempt loop: route, admit, generate, and retry what is retryable.
+ */
 sim::Task<void>
-clusterChatWorker(const ClusterConfig &config, sim::Simulation &sim,
-                  std::vector<Node> &nodes, Router &router,
-                  const WorkloadSpec &spec,
+clusterChatWorker(const ClusterConfig &config, bool multi_turn,
+                  sim::Simulation &sim, std::vector<Node> &nodes,
+                  Router &router, const WorkloadSpec &spec,
                   std::size_t workload_index, std::uint64_t index,
                   ClusterState &state)
 {
-    const workload::ShareGptSampler sampler(config.seed);
-    const workload::ChatRequest chat = sampler.sample(index);
+    // A short shared system preamble, then the conversation: one
+    // unique ShareGPT prompt, or alternating user messages and
+    // assistant replies. Real chatbot traffic has little
+    // cross-request overlap (paper: prefix caching only buys ~1.03x
+    // there).
     constexpr std::int64_t system_tokens = 40;
     std::vector<kv::TokenId> prompt = workload::makeTokens(
         workload::streamId(config.seed, "chat.system"), system_tokens);
-    const auto convo = workload::makeTokens(
-        workload::substream(workload::streamId(config.seed,
-                                               "chat.convo"),
-                            index),
-        std::max<std::int64_t>(1, chat.promptTokens - system_tokens));
-    prompt.insert(prompt.end(), convo.begin(), convo.end());
+    const workload::ChatSessionSampler sessions(config.seed);
+    std::int64_t output_tokens = 0;
+    if (!multi_turn) {
+        const workload::ChatRequest chat =
+            workload::ShareGptSampler(config.seed).sample(index);
+        const auto convo = workload::makeTokens(
+            workload::substream(
+                workload::streamId(config.seed, "chat.convo"), index),
+            std::max<std::int64_t>(1,
+                                   chat.promptTokens - system_tokens));
+        prompt.insert(prompt.end(), convo.begin(), convo.end());
+        output_tokens = chat.outputTokens;
+    }
+    const int turns = multi_turn ? sessions.turnCount(index) : 1;
+    const std::uint64_t session_id =
+        sim::hashCombine(config.seed, multi_turn ? ~index : index);
 
     sim::Rng backoff(config.seed, "cluster.retry", index);
+    sim::Rng think = multi_turn ? sim::Rng(config.seed, "chat.think", index)
+                                : sim::Rng(0);
     const sim::Tick submit = sim.now();
     telemetry::SpanRef root;
-    if (config.spans != nullptr)
-        root = config.spans->beginRequest(index, "ShareGPT/chat",
-                                          submit);
+    if (config.spans != nullptr) {
+        root = config.spans->beginRequest(
+            index, multi_turn ? "ShareGPT/session" : "ShareGPT/chat",
+            submit);
+    }
     telemetry::SpanRef prev_attempt;
     int prev_node = -1;
-    int attempt = 0;
-    for (;;) {
-        telemetry::SpanRef attempt_span;
-        if (config.spans != nullptr) {
-            attempt_span = config.spans->child(
-                root, telemetry::SpanKind::Attempt, "attempt",
-                sim.now());
-            config.spans->link(attempt_span, prev_attempt);
+    for (int t = 0; t < turns; ++t) {
+        telemetry::SpanRef parent = root;
+        sim::Tick turn_start = submit;
+        if (multi_turn) {
+            if (t > 0) {
+                co_await sim::delaySec(sim,
+                                       sessions.thinkTimeSeconds(think));
+            }
+            const workload::ChatTurn turn = sessions.turn(index, t);
+            const auto user = workload::makeTokens(
+                workload::substream(
+                    workload::substream(
+                        workload::streamId(config.seed, "chat.user"),
+                        index),
+                    static_cast<std::uint64_t>(t)),
+                turn.userTokens);
+            prompt.insert(prompt.end(), user.begin(), user.end());
+            output_tokens = turn.outputTokens;
+            turn_start = sim.now();
+            if (config.spans != nullptr) {
+                parent = config.spans->child(
+                    root, telemetry::SpanKind::Iteration, "chat.turn",
+                    turn_start);
+            }
         }
-        const int target = co_await routeWithFailover(
-            config, sim, router, spec, index, prev_node, state);
-        prev_node = target;
-        ++attempt;
-        Node &node = nodes[static_cast<std::size_t>(target)];
 
-        const double budget =
-            config.chatDeadlineSeconds > 0.0
-                ? config.chatDeadlineSeconds -
-                      sim::toSeconds(sim.now() - submit)
-                : 0.0;
-        bool admitted =
-            admitAttempt(config, sim, node, index, budget, state);
         serving::GenResult gen;
-        if (admitted) {
-            ++node.assigned;
+        int attempt = 0;
+        for (;;) {
+            telemetry::SpanRef attempt_span;
+            if (config.spans != nullptr) {
+                attempt_span = config.spans->child(
+                    parent, telemetry::SpanKind::Attempt, "attempt",
+                    sim.now());
+                config.spans->link(attempt_span, prev_attempt);
+            }
+            const int target = co_await routeWithFailover(
+                config, sim, router, spec, index, prev_node, state);
+            prev_node = target;
+            ++attempt;
+            Node &node = nodes[static_cast<std::size_t>(target)];
 
-            serving::GenRequest req;
-            req.prompt = prompt;
-            req.maxNewTokens = chat.outputTokens;
-            req.sessionId = sim::hashCombine(config.seed, index);
-            req.deadlineSeconds = config.chatDeadlineSeconds;
-            req.parentSpan = attempt_span;
-            gen = co_await node.engine->generate(std::move(req));
-        }
-        if (config.spans != nullptr)
-            config.spans->end(attempt_span, sim.now());
+            const double budget =
+                config.chatDeadlineSeconds > 0.0
+                    ? config.chatDeadlineSeconds -
+                          sim::toSeconds(sim.now() - submit)
+                    : 0.0;
+            const bool admitted =
+                admitAttempt(config, sim, node, index, budget, state);
+            if (admitted) {
+                ++node.assigned;
 
-        if (admitted && (gen.ok() || gen.truncated)) {
+                serving::GenRequest req;
+                req.prompt = prompt;
+                req.maxNewTokens = output_tokens;
+                req.sessionId = session_id;
+                req.deadlineSeconds = config.chatDeadlineSeconds;
+                req.parentSpan = attempt_span;
+                gen = co_await node.engine->generate(std::move(req));
+                state.result.chatCost += gen.ledger;
+            }
             if (config.spans != nullptr)
-                config.spans->finishRequest(root, sim.now());
-            if (state.autoscaler != nullptr)
-                state.autoscaler->recordQueueDelay(gen.queueSeconds);
-            if (state.admission != nullptr)
-                state.admission->recordCompletion(sim.now());
-            router.health.reportSuccess(
-                static_cast<std::size_t>(target), sim.now());
-            noteCompletion(state, submit, sim.now(), workload_index);
-            co_return;
-        }
-        if (admitted && (gen.timedOut || gen.failed)) {
-            if (gen.timedOut) {
-                // A context-window failure is the request's fault, a
-                // deadline miss is (partly) the node's: only the
-                // latter feeds the breaker.
+                config.spans->end(attempt_span, sim.now());
+
+            if (admitted && (gen.ok() || gen.truncated)) {
+                if (state.autoscaler != nullptr)
+                    state.autoscaler->recordQueueDelay(gen.queueSeconds);
+                router.health.reportSuccess(
+                    static_cast<std::size_t>(target), sim.now());
+                state.result.ttftSeconds.add(gen.ttftSeconds);
+                break;
+            }
+            if (admitted && (gen.timedOut || gen.failed)) {
+                if (gen.timedOut) {
+                    // A context-window failure is the request's
+                    // fault, a deadline miss is (partly) the node's:
+                    // only the latter feeds the breaker.
+                    router.health.reportFailure(
+                        static_cast<std::size_t>(target), sim.now());
+                }
+                if (config.spans != nullptr)
+                    config.spans->finishRequest(root, sim.now(), true);
+                noteFailure(state, submit, sim.now(), gen.timedOut);
+                co_return;
+            }
+            // Retryable: rejected by the admission gate, shed at the
+            // engine or lost to a node failure.
+            if (admitted) {
                 router.health.reportFailure(
                     static_cast<std::size_t>(target), sim.now());
             }
+            if (attempt >= config.retry.maxAttempts) {
+                if (config.spans != nullptr)
+                    config.spans->finishRequest(root, sim.now(), true);
+                noteFailure(state, submit, sim.now(), false);
+                co_return;
+            }
+            prev_attempt = attempt_span;
+            ++state.result.retries;
+            if (!admitted)
+                ++state.result.retriesAdmission;
+            else if (gen.shed)
+                ++state.result.retriesShed;
+            else
+                ++state.result.retriesCrash;
+            telemetry::SpanRef sleep_span;
+            if (config.spans != nullptr) {
+                sleep_span = config.spans->child(
+                    parent, telemetry::SpanKind::Backoff, "backoff",
+                    sim.now());
+            }
+            co_await sim::delaySec(
+                sim, retrySleepSeconds(config.retry, attempt, backoff));
             if (config.spans != nullptr)
-                config.spans->finishRequest(root, sim.now(), true);
-            noteFailure(state, submit, sim.now(), gen.timedOut);
-            co_return;
+                config.spans->end(sleep_span, sim.now());
         }
-        // Retryable: rejected by the admission gate, shed at the
-        // engine or lost to a node failure.
-        if (admitted) {
-            router.health.reportFailure(
-                static_cast<std::size_t>(target), sim.now());
-        }
-        if (attempt >= config.retry.maxAttempts) {
+        if (multi_turn) {
             if (config.spans != nullptr)
-                config.spans->finishRequest(root, sim.now(), true);
-            noteFailure(state, submit, sim.now(), false);
-            co_return;
+                config.spans->end(parent, sim.now());
+            state.result.turnSeconds.add(
+                sim::toSeconds(sim.now() - turn_start));
+            prompt.insert(prompt.end(), gen.tokens.begin(),
+                          gen.tokens.end());
         }
-        prev_attempt = attempt_span;
-        ++state.result.retries;
-        if (!admitted)
-            ++state.result.retriesAdmission;
-        else if (gen.shed)
-            ++state.result.retriesShed;
-        else
-            ++state.result.retriesCrash;
-        telemetry::SpanRef sleep_span;
-        if (config.spans != nullptr) {
-            sleep_span = config.spans->child(
-                root, telemetry::SpanKind::Backoff, "backoff",
-                sim.now());
-        }
-        co_await sim::delaySec(
-            sim, retrySleepSeconds(config.retry, attempt, backoff));
-        if (config.spans != nullptr)
-            config.spans->end(sleep_span, sim.now());
     }
+    if (config.spans != nullptr)
+        config.spans->finishRequest(root, sim.now());
+    if (state.admission != nullptr)
+        state.admission->recordCompletion(sim.now());
+    noteCompletion(state, submit, sim.now(), workload_index, true);
 }
 
 /**
@@ -948,7 +1013,7 @@ clusterMonitor(const ClusterConfig &config, sim::Simulation &sim,
                ClusterState &state)
 {
     for (;;) {
-        co_await sim::delaySec(sim, config.monitorPeriodSeconds);
+        co_await sim::delaySec(sim, kMonitorPeriodSeconds);
         if (state.stopped)
             co_return;
         const sim::Tick now = sim.now();
@@ -1022,7 +1087,7 @@ timeseriesSampler(const ClusterConfig &config, sim::Simulation &sim,
 {
     telemetry::TimeSeriesStore &ts = *config.timeseries;
     for (;;) {
-        co_await sim::delaySec(sim, config.timeseriesPeriodSeconds);
+        co_await sim::delaySec(sim, ts.config().periodSeconds);
         const sim::Tick now = sim.now();
         double queued = 0.0;
         double running = 0.0;
@@ -1075,14 +1140,21 @@ timeseriesSampler(const ClusterConfig &config, sim::Simulation &sim,
     }
 }
 
+/**
+ * The request driver: Poisson (or diurnal) open-loop arrivals, or
+ * closed-loop issue where each request waits for the previous one.
+ * Each request draws its workload component from the mix and runs in
+ * its own worker.
+ */
 sim::Task<void>
-clusterDriver(const ClusterConfig &config, sim::Simulation &sim,
+clusterDriver(const ClusterConfig &config,
+              const detail::RequestPathModes &modes, sim::Simulation &sim,
               std::vector<Node> &nodes, Router &router,
               BrownoutController *brownout, sim::FaultInjector *faults,
               sim::MaintenanceSchedule *maintenance,
               ClusterState &state)
 {
-    sim::Rng arrivals(config.seed, "cluster.arrivals", 0);
+    sim::Rng arrivals(config.seed, modes.arrivalStream, 0);
     sim::Rng mixer(config.seed, "cluster.mix", 0);
     std::vector<double> weights;
     weights.reserve(config.mix.size());
@@ -1100,7 +1172,7 @@ clusterDriver(const ClusterConfig &config, sim::Simulation &sim,
     std::vector<sim::Task<void>> workers;
     workers.reserve(static_cast<std::size_t>(config.numRequests));
     for (int i = 0; i < config.numRequests; ++i) {
-        if (i > 0) {
+        if (i > 0 && !modes.closedLoop) {
             if (!diurnal) {
                 co_await sim::delaySec(
                     sim, arrivals.exponential(1.0 / config.qps));
@@ -1121,14 +1193,16 @@ clusterDriver(const ClusterConfig &config, sim::Simulation &sim,
         const WorkloadSpec &spec = config.mix[which];
         const auto index = static_cast<std::uint64_t>(i);
         if (spec.chatbot) {
-            workers.push_back(clusterChatWorker(config, sim, nodes,
-                                                router, spec, which,
-                                                index, state));
+            workers.push_back(clusterChatWorker(
+                config, modes.multiTurn, sim, nodes, router, spec, which,
+                index, state));
         } else {
             workers.push_back(clusterAgentWorker(
                 config, sim, nodes, router, brownout, spec, which,
                 index, state));
         }
+        if (modes.closedLoop)
+            co_await workers.back();
     }
     co_await sim::allOf(std::move(workers));
     // Workload drained: let the fault/maintenance/monitor drivers exit
@@ -1138,6 +1212,117 @@ clusterDriver(const ClusterConfig &config, sim::Simulation &sim,
         faults->stop();
     if (maintenance != nullptr)
         maintenance->stop();
+}
+
+/**
+ * runCluster's fleet-wide counters: client retries and failovers by
+ * cause, engine outcomes summed over nodes, resilience and recovery
+ * totals.
+ */
+void
+exportFleetCounters(telemetry::MetricsRegistry &metrics,
+                    const ClusterResult &out, bool checkpointing)
+{
+    serving::EngineStats sum;
+    for (const auto &nr : out.nodes) {
+        sum.requestsCancelled += nr.engineStats.requestsCancelled;
+        sum.requestsTimedOut += nr.engineStats.requestsTimedOut;
+        sum.requestsShed += nr.engineStats.requestsShed;
+        sum.crashes += nr.engineStats.crashes;
+    }
+    auto set = [&](const char *name, const char *help, double v) {
+        metrics.counter(name, help).set(v);
+    };
+    set("agentsim_client_retries_total",
+        "Client retry attempts across all requests", out.retries);
+    // Per-cause splits (the registry has no label dimension, so
+    // causes are family suffixes; see sanitizeMetricLabel).
+    set("agentsim_client_retries_crash_total",
+        "Retries caused by node failure or offline routing",
+        out.retriesCrash);
+    set("agentsim_client_retries_shed_total",
+        "Retries caused by engine admission shedding",
+        out.retriesShed);
+    set("agentsim_client_retries_admission_total",
+        "Retries caused by predictive admission reject-fast",
+        out.retriesAdmission);
+    set("agentsim_client_failovers_total",
+        "Retries rerouted to a different node", out.failovers);
+    set("agentsim_client_failovers_offline_total",
+        "Failovers off a crashed or draining node",
+        out.failoversOffline);
+    set("agentsim_client_failovers_breaker_total",
+        "Failovers off a breaker-open node",
+        out.failoversBreaker);
+    set("agentsim_client_failovers_rebalance_total",
+        "Failovers to a less-loaded peer (previous node healthy)",
+        out.failoversRebalance);
+    set("agentsim_cluster_requests_cancelled_total",
+        "Requests cancelled across all nodes",
+        static_cast<double>(sum.requestsCancelled));
+    set("agentsim_cluster_requests_timed_out_total",
+        "Requests that missed their deadline across all nodes",
+        static_cast<double>(sum.requestsTimedOut));
+    set("agentsim_cluster_requests_shed_total",
+        "Requests shed by admission control across all nodes",
+        static_cast<double>(sum.requestsShed));
+    set("agentsim_cluster_node_crashes_total",
+        "Injected node crashes across the cluster",
+        static_cast<double>(sum.crashes));
+    set("agentsim_resilience_drains_total",
+        "Graceful node drains across the cluster",
+        static_cast<double>(out.drains));
+    set("agentsim_resilience_migrations_total",
+        "Requests live-migrated between nodes",
+        static_cast<double>(out.migratedRequests));
+    set("agentsim_resilience_migration_fallbacks_total",
+        "Migrations that landed cold (target lacked free blocks)",
+        static_cast<double>(out.migrationFallbacks));
+    set("agentsim_resilience_migration_seconds_total",
+        "Interconnect+PCIe seconds spent moving KV between nodes",
+        out.migrationSeconds);
+    set("agentsim_resilience_lost_prefill_seconds_total",
+        "Prefill GPU-s thrown away by crash-cancelled requests",
+        out.lostPrefillSeconds);
+    set("agentsim_recovery_lost_gpu_seconds_total",
+        "Episode GPU-seconds recomputed by retries (work since "
+        "the last checkpoint; everything when checkpointing is "
+        "off)",
+        out.recovery.lostGpuSeconds);
+    if (checkpointing) {
+        set("agentsim_recovery_checkpoints_total",
+            "Episode snapshots journaled",
+            static_cast<double>(out.recovery.checkpointsTaken));
+        set("agentsim_recovery_snapshot_bytes_total",
+            "Bytes written into the checkpoint store "
+            "(delta-journaled)",
+            static_cast<double>(out.recovery.bytesWritten));
+        set("agentsim_recovery_snapshot_seconds_total",
+            "Background wire-seconds spent writing snapshots",
+            out.recovery.snapshotSeconds);
+        set("agentsim_recovery_resumes_total",
+            "Retries that resumed from a checkpoint",
+            static_cast<double>(out.recovery.resumes));
+        set("agentsim_recovery_kv_restores_total",
+            "Resumes that warmed prefix KV over the wire",
+            static_cast<double>(out.recovery.kvRestores));
+        set("agentsim_recovery_cold_fallbacks_total",
+            "Resumes that recomputed the prefix cold",
+            static_cast<double>(out.recovery.coldFallbacks));
+        set("agentsim_recovery_restore_seconds_total",
+            "Wire-seconds spent restoring prefix KV on resume",
+            out.recovery.restoreSeconds);
+        set("agentsim_recovery_recovered_gpu_seconds_total",
+            "Episode GPU-seconds checkpoint-resume did not "
+            "recompute",
+            out.recovery.recoveredGpuSeconds);
+        set("agentsim_recovery_recovered_crash_gpu_seconds_total",
+            "Recovered GPU-seconds attributed to node crashes",
+            out.recovery.recoveredCrashGpuSeconds);
+        set("agentsim_recovery_recovered_shed_gpu_seconds_total",
+            "Recovered GPU-seconds attributed to load shedding",
+            out.recovery.recoveredShedGpuSeconds);
+    }
 }
 
 } // namespace
@@ -1180,8 +1365,6 @@ validateClusterConfig(const ClusterConfig &config)
         AGENTSIM_FATAL("cluster config: numRequests must be >= 1");
     if (config.retry.maxAttempts < 1)
         AGENTSIM_FATAL("cluster config: retry.maxAttempts must be >= 1");
-    if (!(config.monitorPeriodSeconds > 0))
-        AGENTSIM_FATAL("cluster config: monitor period must be > 0");
     if (!(config.migrationBandwidth > 0))
         AGENTSIM_FATAL("cluster config: migration bandwidth must be "
                        "> 0");
@@ -1193,14 +1376,6 @@ validateClusterConfig(const ClusterConfig &config)
         AGENTSIM_FATAL("kv tiers: negative DRAM tier capacity");
     if (eng.nvmeCacheBlocks < 0)
         AGENTSIM_FATAL("kv tiers: negative NVMe tier capacity");
-    if (eng.kvDramAdmitProb < 0 || eng.kvDramAdmitProb > 1) {
-        AGENTSIM_FATAL("kv tiers: dram admit probability outside "
-                       "[0, 1] (got %g)", eng.kvDramAdmitProb);
-    }
-    if (eng.kvNvmeAdmitProb < 0 || eng.kvNvmeAdmitProb > 1) {
-        AGENTSIM_FATAL("kv tiers: nvme admit probability outside "
-                       "[0, 1] (got %g)", eng.kvNvmeAdmitProb);
-    }
     if ((eng.hostCacheBlocks > 0 || eng.nvmeCacheBlocks > 0) &&
         !eng.enablePrefixCaching) {
         AGENTSIM_FATAL("kv tiers: spill tiers need prefix caching "
@@ -1321,12 +1496,25 @@ ClusterResult
 runCluster(const ClusterConfig &config)
 {
     validateClusterConfig(config);
+    detail::RequestPathModes modes;
+    // The fleet's own arrival stream, pinned by the fleet_observed
+    // entries of perfbench/reference.json.
+    modes.arrivalStream = "cluster.arrivals";
+    return detail::runRequestPath(config, modes);
+}
 
+ClusterResult
+detail::runRequestPath(const ClusterConfig &config,
+                       const RequestPathModes &modes)
+{
     const bool autoscaled = config.autoscaler.enabled;
     const int total_nodes =
         autoscaled ? config.autoscaler.maxNodes : config.numNodes;
 
     sim::Simulation sim;
+    if (config.traceSink != nullptr)
+        config.traceSink->processName(telemetry::TracePid::kAgents,
+                                      "agents");
     std::vector<Node> nodes;
     nodes.reserve(static_cast<std::size_t>(total_nodes));
     for (int i = 0; i < total_nodes; ++i) {
@@ -1487,7 +1675,7 @@ runCluster(const ClusterConfig &config)
     if (config.timeseries != nullptr)
         sampler.emplace(timeseriesSampler(config, sim, nodes, state));
 
-    auto drive = clusterDriver(config, sim, nodes, router,
+    auto drive = clusterDriver(config, modes, sim, nodes, router,
                                brownout ? &*brownout : nullptr,
                                faults ? &*faults : nullptr,
                                maintenance ? &*maintenance : nullptr,
@@ -1546,11 +1734,20 @@ runCluster(const ClusterConfig &config)
         // its blocks; chaos runs exercise this hard.
         node.engine->blockManager().checkInvariants();
     }
+    const double ticks = static_cast<double>(sim_end);
     for (const auto &node : nodes) {
+        const serving::LlmEngine &eng = *node.engine;
         NodeResult nr;
         nr.requests = node.assigned;
-        nr.cacheHitRate = node.engine->cacheStats().hitRate();
-        nr.engineStats = node.engine->stats();
+        nr.cacheStats = eng.cacheStats();
+        nr.cacheHitRate = nr.cacheStats.hitRate();
+        nr.engineStats = eng.stats();
+        const double block_bytes = static_cast<double>(eng.blockBytes());
+        nr.kvAvgBytes = ticks > 0 ? eng.kvUsageGauge().integral(sim_end) /
+                                        ticks * block_bytes
+                                  : 0.0;
+        nr.kvMaxBytes = eng.kvUsageGauge().max() * block_bytes;
+        nr.energyWh = eng.energyJoules(sim_end) / 3600.0;
         out.drains += nr.engineStats.drains;
         out.migratedRequests += nr.engineStats.requestsMigratedOut;
         out.migrationFallbacks += nr.engineStats.migrationFallbacks;
@@ -1559,107 +1756,11 @@ runCluster(const ClusterConfig &config)
         out.nodes.push_back(nr);
     }
     if (config.metrics != nullptr) {
-        serving::EngineStats sum;
-        for (const auto &nr : out.nodes) {
-            sum.requestsCancelled += nr.engineStats.requestsCancelled;
-            sum.requestsTimedOut += nr.engineStats.requestsTimedOut;
-            sum.requestsShed += nr.engineStats.requestsShed;
-            sum.crashes += nr.engineStats.crashes;
+        if (!modes.servingExport) {
+            exportFleetCounters(*config.metrics, out,
+                                config.checkpoint.enabled);
+            health.exportMetrics(*config.metrics, sim.now());
         }
-        auto set = [&](const char *name, const char *help, double v) {
-            config.metrics->counter(name, help).set(v);
-        };
-        set("agentsim_client_retries_total",
-            "Client retry attempts across all requests", out.retries);
-        // Per-cause splits (the registry has no label dimension, so
-        // causes are family suffixes; see sanitizeMetricLabel).
-        set("agentsim_client_retries_crash_total",
-            "Retries caused by node failure or offline routing",
-            out.retriesCrash);
-        set("agentsim_client_retries_shed_total",
-            "Retries caused by engine admission shedding",
-            out.retriesShed);
-        set("agentsim_client_retries_admission_total",
-            "Retries caused by predictive admission reject-fast",
-            out.retriesAdmission);
-        set("agentsim_client_failovers_total",
-            "Retries rerouted to a different node", out.failovers);
-        set("agentsim_client_failovers_offline_total",
-            "Failovers off a crashed or draining node",
-            out.failoversOffline);
-        set("agentsim_client_failovers_breaker_total",
-            "Failovers off a breaker-open node",
-            out.failoversBreaker);
-        set("agentsim_client_failovers_rebalance_total",
-            "Failovers to a less-loaded peer (previous node healthy)",
-            out.failoversRebalance);
-        set("agentsim_cluster_requests_cancelled_total",
-            "Requests cancelled across all nodes",
-            static_cast<double>(sum.requestsCancelled));
-        set("agentsim_cluster_requests_timed_out_total",
-            "Requests that missed their deadline across all nodes",
-            static_cast<double>(sum.requestsTimedOut));
-        set("agentsim_cluster_requests_shed_total",
-            "Requests shed by admission control across all nodes",
-            static_cast<double>(sum.requestsShed));
-        set("agentsim_cluster_node_crashes_total",
-            "Injected node crashes across the cluster",
-            static_cast<double>(sum.crashes));
-        set("agentsim_resilience_drains_total",
-            "Graceful node drains across the cluster",
-            static_cast<double>(out.drains));
-        set("agentsim_resilience_migrations_total",
-            "Requests live-migrated between nodes",
-            static_cast<double>(out.migratedRequests));
-        set("agentsim_resilience_migration_fallbacks_total",
-            "Migrations that landed cold (target lacked free blocks)",
-            static_cast<double>(out.migrationFallbacks));
-        set("agentsim_resilience_migration_seconds_total",
-            "Interconnect+PCIe seconds spent moving KV between nodes",
-            out.migrationSeconds);
-        set("agentsim_resilience_lost_prefill_seconds_total",
-            "Prefill GPU-s thrown away by crash-cancelled requests",
-            out.lostPrefillSeconds);
-        set("agentsim_recovery_lost_gpu_seconds_total",
-            "Episode GPU-seconds recomputed by retries (work since "
-            "the last checkpoint; everything when checkpointing is "
-            "off)",
-            out.recovery.lostGpuSeconds);
-        if (config.checkpoint.enabled) {
-            set("agentsim_recovery_checkpoints_total",
-                "Episode snapshots journaled",
-                static_cast<double>(out.recovery.checkpointsTaken));
-            set("agentsim_recovery_snapshot_bytes_total",
-                "Bytes written into the checkpoint store "
-                "(delta-journaled)",
-                static_cast<double>(out.recovery.bytesWritten));
-            set("agentsim_recovery_snapshot_seconds_total",
-                "Background wire-seconds spent writing snapshots",
-                out.recovery.snapshotSeconds);
-            set("agentsim_recovery_resumes_total",
-                "Retries that resumed from a checkpoint",
-                static_cast<double>(out.recovery.resumes));
-            set("agentsim_recovery_kv_restores_total",
-                "Resumes that warmed prefix KV over the wire",
-                static_cast<double>(out.recovery.kvRestores));
-            set("agentsim_recovery_cold_fallbacks_total",
-                "Resumes that recomputed the prefix cold",
-                static_cast<double>(out.recovery.coldFallbacks));
-            set("agentsim_recovery_restore_seconds_total",
-                "Wire-seconds spent restoring prefix KV on resume",
-                out.recovery.restoreSeconds);
-            set("agentsim_recovery_recovered_gpu_seconds_total",
-                "Episode GPU-seconds checkpoint-resume did not "
-                "recompute",
-                out.recovery.recoveredGpuSeconds);
-            set("agentsim_recovery_recovered_crash_gpu_seconds_total",
-                "Recovered GPU-seconds attributed to node crashes",
-                out.recovery.recoveredCrashGpuSeconds);
-            set("agentsim_recovery_recovered_shed_gpu_seconds_total",
-                "Recovered GPU-seconds attributed to load shedding",
-                out.recovery.recoveredShedGpuSeconds);
-        }
-        health.exportMetrics(*config.metrics, sim.now());
         if (brownout)
             brownout->exportMetrics(*config.metrics, sim.now());
         if (config.recorder != nullptr)
@@ -1681,6 +1782,10 @@ runCluster(const ClusterConfig &config)
                                     config.traceSink->droppedEvents()));
         }
         if (autoscaler) {
+            auto set = [&](const char *name, const char *help,
+                           double v) {
+                config.metrics->counter(name, help).set(v);
+            };
             autoscaler->exportMetrics(*config.metrics, sim.now());
             set("agentsim_autoscale_admission_rejects_total",
                 "Attempts reject-fast'd by predictive admission "
@@ -1705,6 +1810,11 @@ runCluster(const ClusterConfig &config)
     }
     out.sloAlerts =
         config.slo != nullptr ? config.slo->alertsFired() : 0;
+    out.simWallSeconds = sim.wallSeconds();
+    out.simEventsProcessed = static_cast<double>(sim.processedEvents());
+    out.simEventsPerSecond = sim.eventsPerSecond();
+    if (modes.servingExport)
+        modes.servingExport(sim, *nodes.front().engine, out);
     return out;
 }
 

@@ -20,6 +20,7 @@
 #ifndef AGENTSIM_CORE_CLUSTER_HH
 #define AGENTSIM_CORE_CLUSTER_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -164,8 +165,6 @@ struct ClusterConfig
     /** Node-to-node KV transfer bandwidth for live migration, B/s
      *  (defaults to the disagg interconnect assumption). */
     double migrationBandwidth = 200e9;
-    /** Cadence of the KV-pressure/burn-rate/queue-depth monitor, s. */
-    double monitorPeriodSeconds = 1.0;
     /** Client retry discipline for retryable failures. */
     RetryPolicy retry;
     /**
@@ -219,14 +218,12 @@ struct ClusterConfig
     /**
      * Optional windowed time-series store: a read-only sampling
      * coroutine records per-node queue depth / running count / KV
-     * utilization, cluster burn rates and completion counters at
-     * timeseriesPeriodSeconds cadence (plus every registry scalar
-     * when `metrics` is set). Pure observer — attaching it never
-     * changes sim outcomes. Must outlive runCluster().
+     * utilization, cluster burn rates and completion counters at the
+     * store's own cadence (TimeSeriesStore::Config::periodSeconds),
+     * plus every registry scalar when `metrics` is set. Pure observer — attaching it never changes sim outcomes.
+     * Must outlive runCluster().
      */
     telemetry::TimeSeriesStore *timeseries = nullptr;
-    /** Sampling cadence of the time-series coroutine, seconds. */
-    double timeseriesPeriodSeconds = 0.5;
 };
 
 /** Per-node measurements. */
@@ -235,6 +232,12 @@ struct NodeResult
     int requests = 0;
     double cacheHitRate = 0.0;
     serving::EngineStats engineStats;
+    kv::CacheStats cacheStats;
+    /** Time-average / peak KV bytes over the run. */
+    double kvAvgBytes = 0.0;
+    double kvMaxBytes = 0.0;
+    /** Node GPU energy over the run (busy and idle), Wh. */
+    double energyWh = 0.0;
 };
 
 /** Cluster experiment measurements. */
@@ -245,6 +248,14 @@ struct ClusterResult
     std::vector<stats::SampleSet> perWorkloadSeconds;
     /** Requests that finished successfully (goodput numerator). */
     int completed = 0;
+    /** Completed agent rollouts that solved their task, plus every
+     *  completed chat request. */
+    int solved = 0;
+    /** Per-turn generation latencies (multi-turn sessions only). */
+    stats::SampleSet turnSeconds;
+    /** Time-to-first-token of every chat generation that reached an
+     *  engine. */
+    stats::SampleSet ttftSeconds;
     /** Requests abandoned after exhausting retries or missing SLOs. */
     int failed = 0;
     /** Requests abandoned specifically on deadline expiry. */
@@ -307,6 +318,9 @@ struct ClusterResult
     /** Attributed cost summed over completed agent episodes (feeds
      *  CostReport rows in recovery benches). */
     serving::CostLedger episodeCost;
+    /** Attributed cost summed over every chat generation that
+     *  reached an engine. */
+    serving::CostLedger chatCost;
 
     /** Autoscaler activity (0 unless ClusterConfig::autoscaler is
      *  enabled). */
@@ -324,6 +338,11 @@ struct ClusterResult
     double warmupSecondsTotal = 0.0;
     /** Most nodes simultaneously serving traffic. */
     int peakActiveNodes = 0;
+
+    /** Simulator self-timing (host wall clock, see sim::Simulation). */
+    double simWallSeconds = 0.0;
+    double simEventsProcessed = 0.0;
+    double simEventsPerSecond = 0.0;
 
     double p50() const { return e2eSeconds.percentile(50.0); }
     double p95() const { return e2eSeconds.percentile(95.0); }
@@ -361,6 +380,43 @@ void validateClusterConfig(const ClusterConfig &config);
 
 /** Run one cluster experiment. */
 ClusterResult runCluster(const ClusterConfig &config);
+
+namespace detail
+{
+
+/**
+ * How an entry point drives the one request path that runServing and
+ * runCluster share. Not a configuration: each entry point passes its
+ * own fixed values, and only runServing's modes differ from the
+ * defaults.
+ */
+struct RequestPathModes
+{
+    /** Name of the arrival RNG stream. */
+    const char *arrivalStream = nullptr;
+    /** Issue each request only after the previous one completes. */
+    bool closedLoop = false;
+    /** Chat requests are multi-turn sessions. */
+    bool multiTurn = false;
+    /**
+     * runServing's end-of-run export, called on the drained fleet
+     * before it is torn down. When set it replaces runCluster's
+     * fleet-wide counters (retries, failovers, breakers, brownout,
+     * autoscaler); the observer exports both entry points share run
+     * either way.
+     */
+    std::function<void(const sim::Simulation &,
+                       const serving::LlmEngine &,
+                       const ClusterResult &)>
+        servingExport;
+};
+
+/** Run @p config through the shared driver, workers, completion
+ *  accounting and observers. The caller validates @p config. */
+ClusterResult runRequestPath(const ClusterConfig &config,
+                             const RequestPathModes &modes);
+
+} // namespace detail
 
 } // namespace agentsim::core
 

@@ -2,8 +2,10 @@
  * @file
  * The agent serving system of paper Fig 13: an open-loop Poisson
  * request driver feeding asynchronous workers which run agent
- * workflows (or single-turn chatbot requests) against one shared
- * continuous-batching LLM engine and a shared tool belt.
+ * workflows (or chatbot requests) against one shared
+ * continuous-batching LLM engine and a shared tool belt. It runs as
+ * the one-node, fault-free fleet of core/cluster.hh, through the same
+ * driver, workers and observers as runCluster().
  */
 
 #ifndef AGENTSIM_CORE_SERVING_SYSTEM_HH
@@ -81,12 +83,11 @@ struct ServeConfig
      */
     telemetry::FlightRecorder *recorder = nullptr;
     /**
-     * Optional windowed time-series store fed by a read-only sampler
-     * coroutine at timeseriesPeriodSeconds cadence. Pure observer.
-     * Must outlive the call.
+     * Optional windowed time-series store fed by the fleet's
+     * read-only sampler coroutine at the store's own cadence. Pure
+     * observer. Must outlive the call.
      */
     telemetry::TimeSeriesStore *timeseries = nullptr;
-    double timeseriesPeriodSeconds = 0.5;
 };
 
 /** Serving-experiment measurements. */

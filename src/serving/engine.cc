@@ -47,17 +47,14 @@ LlmEngine::derivePoolBlocks(const EngineConfig &config)
 
 LlmEngine::LlmEngine(sim::Simulation &sim, const EngineConfig &config)
     : sim_(sim), config_(config), perf_(config.model, config.node),
-      blocks_(kv::BlockManagerConfig{derivePoolBlocks(config),
-                                     config.blockSize,
-                                     config.enablePrefixCaching,
-                                     config.evictionPolicy,
-                                     config.hostCacheBlocks,
-                                     config.kvDramAdmitProb,
-                                     config.kvDramTierMode,
-                                     config.nvmeCacheBlocks,
-                                     config.kvNvmeAdmitProb,
-                                     config.kvNvmeTierMode,
-                                     config.seed}),
+      blocks_(kv::BlockManagerConfig{
+          .numBlocks = derivePoolBlocks(config),
+          .blockSize = config.blockSize,
+          .enablePrefixCaching = config.enablePrefixCaching,
+          .evictionPolicy = config.evictionPolicy,
+          .hostCacheBlocks = config.hostCacheBlocks,
+          .nvmeCacheBlocks = config.nvmeCacheBlocks,
+          .seed = config.seed}),
       sampler_(telemetry::SamplerConfig{config.samplerStride,
                                         config.samplerCapacity}),
       loop_(runLoop())

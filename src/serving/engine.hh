@@ -76,19 +76,11 @@ struct EngineConfig
     kv::EvictionPolicy evictionPolicy = kv::EvictionPolicy::Lru;
     /** Host-memory KV spill tier, in blocks (0 disables). */
     std::int64_t hostCacheBlocks = 0;
-    /** Probability an HBM eviction victim is admitted into the DRAM
-     *  tier (Spitfire-style probabilistic migration). */
-    double kvDramAdmitProb = 1.0;
-    /** Residency discipline of the DRAM tier. */
-    kv::TierMode kvDramTierMode = kv::TierMode::Exclusive;
     /** Simulated NVMe KV spill tier, in blocks (0 disables). DRAM
-     *  capacity victims sink here; restores pay the NVMe read. */
+     *  capacity victims sink here; restores pay the NVMe read. Both
+     *  tiers admit every victim and are exclusive (the
+     *  BlockManagerConfig defaults). */
     std::int64_t nvmeCacheBlocks = 0;
-    /** Probability a DRAM victim (or HBM victim when the DRAM tier is
-     *  disabled) is admitted into the NVMe tier. */
-    double kvNvmeAdmitProb = 1.0;
-    /** Residency discipline of the NVMe tier. */
-    kv::TierMode kvNvmeTierMode = kv::TierMode::Exclusive;
     /**
      * Tool-call parking engages only when the HBM pool is contended:
      * requests are waiting, or live sequences pin at least this

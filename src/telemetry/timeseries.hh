@@ -54,8 +54,9 @@ class TimeSeriesStore
   public:
     struct Config
     {
-        /** Sampling cadence, virtual seconds (sample() callers honor
-         *  this; record() is cadence-free). */
+        /** Sampling cadence, virtual seconds: the fleet's sampler
+         *  coroutine wakes at this period (record() itself is
+         *  cadence-free). */
         double periodSeconds = 0.5;
         /** Points retained per series (ring capacity). */
         std::size_t capacity = 512;
