@@ -178,6 +178,32 @@ TEST(Serving, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.energyWh, b.energyWh);
 }
 
+TEST(Serving, ClosedLoopIgnoresQps)
+{
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.closedLoop = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.qps = 0.0;
+    cfg.numRequests = 3;
+    EXPECT_EQ(core::runServing(cfg).completed, 3);
+}
+
+TEST(ServingDeathTest, OpenLoopRejectsNonPositiveQps)
+{
+    for (bool chatbot : {true, false}) {
+        for (double qps : {0.0, -1.0}) {
+            ServeConfig cfg;
+            cfg.chatbot = chatbot;
+            cfg.engineConfig = core::enginePreset8b();
+            cfg.qps = qps;
+            cfg.numRequests = 2;
+            EXPECT_DEATH(core::runServing(cfg),
+                         "open-loop serving needs qps > 0");
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Golden results for the serving modes outside the perfbench
 // reference and the fig14 baseline: multi-turn sessions and
