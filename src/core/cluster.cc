@@ -93,7 +93,8 @@ struct Node
 struct ClusterState
 {
     ClusterResult result;
-    sim::Tick firstSubmit = -1;
+    /** Submission of request 0: the makespan starts here. */
+    sim::Tick firstSubmit = 0;
     sim::Tick lastFinish = 0;
     /** Workload drained; periodic coroutines exit at next wake. */
     bool stopped = false;
@@ -269,8 +270,6 @@ void
 noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
                std::size_t workload_index, bool solved)
 {
-    if (state.firstSubmit < 0)
-        state.firstSubmit = submit;
     state.lastFinish = std::max(state.lastFinish, finish);
     const double seconds = sim::toSeconds(finish - submit);
     state.result.e2eSeconds.add(seconds);
@@ -280,11 +279,8 @@ noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
 }
 
 void
-noteFailure(ClusterState &state, sim::Tick submit, sim::Tick finish,
-            bool timed_out)
+noteFailure(ClusterState &state, sim::Tick finish, bool timed_out)
 {
-    if (state.firstSubmit < 0)
-        state.firstSubmit = submit;
     state.lastFinish = std::max(state.lastFinish, finish);
     ++state.result.failed;
     if (timed_out) {
@@ -425,7 +421,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                     state.checkpoints->erase(index);
                 if (config.spans != nullptr)
                     config.spans->finishRequest(root, sim.now(), true);
-                noteFailure(state, submit, sim.now(), false);
+                noteFailure(state, sim.now(), false);
                 co_return;
             }
             prev_attempt = attempt_span;
@@ -574,7 +570,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 static_cast<std::size_t>(target), sim.now());
             if (state.checkpoints != nullptr)
                 state.checkpoints->erase(index);
-            noteFailure(state, submit, sim.now(), true);
+            noteFailure(state, sim.now(), true);
             co_return;
         } catch (const agents::NodeFailureError &e) {
             if (config.spans != nullptr)
@@ -586,7 +582,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                     state.checkpoints->erase(index);
                 if (config.spans != nullptr)
                     config.spans->finishRequest(root, sim.now(), true);
-                noteFailure(state, submit, sim.now(), false);
+                noteFailure(state, sim.now(), false);
                 co_return;
             }
             // Recovery accounting for the upcoming retry: work since
@@ -771,7 +767,7 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                 }
                 if (config.spans != nullptr)
                     config.spans->finishRequest(root, sim.now(), true);
-                noteFailure(state, submit, sim.now(), gen.timedOut);
+                noteFailure(state, sim.now(), gen.timedOut);
                 co_return;
             }
             // Retryable: rejected by the admission gate, shed at the
@@ -783,7 +779,7 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
             if (attempt >= config.retry.maxAttempts) {
                 if (config.spans != nullptr)
                     config.spans->finishRequest(root, sim.now(), true);
-                noteFailure(state, submit, sim.now(), false);
+                noteFailure(state, sim.now(), false);
                 co_return;
             }
             prev_attempt = attempt_span;
@@ -1187,6 +1183,8 @@ clusterDriver(const ClusterConfig &config,
                 }
             }
         }
+        if (i == 0)
+            state.firstSubmit = sim.now();
         if (state.autoscaler != nullptr)
             state.autoscaler->recordArrival(sim.now());
         const std::size_t which = mixer.categorical(weights);
@@ -1688,7 +1686,7 @@ detail::runRequestPath(const ClusterConfig &config,
 
     ClusterResult out = std::move(state.result);
     out.makespanSeconds = sim::toSeconds(
-        state.lastFinish - std::max<sim::Tick>(0, state.firstSubmit));
+        state.lastFinish - state.firstSubmit);
     if (faults)
         out.faultStats = faults->stats();
     if (maintenance)

@@ -178,6 +178,29 @@ TEST(Serving, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.energyWh, b.energyWh);
 }
 
+TEST(Serving, MakespanStartsAtFirstSubmission)
+{
+    // Request 0 arrives at t = 0 and nothing runs after the last
+    // completion, so the makespan spans the whole simulated run, no
+    // matter which request happens to complete first.
+    telemetry::SessionTelemetry session;
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.qps = 4.0;
+    cfg.numRequests = 20;
+    cfg.telemetry = &session;
+    const auto r = core::runServing(cfg);
+    double sim_seconds = -1.0;
+    session.registry.forEachScalar(
+        [&](const std::string &name, double v) {
+            if (name == "agentsim_sim_virtual_seconds")
+                sim_seconds = v;
+        });
+    EXPECT_DOUBLE_EQ(r.makespanSeconds, sim_seconds);
+    EXPECT_DOUBLE_EQ(r.throughputQps(), 20 / sim_seconds);
+}
+
 TEST(Serving, ClosedLoopIgnoresQps)
 {
     ServeConfig cfg;
