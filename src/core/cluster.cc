@@ -1529,12 +1529,16 @@ detail::runRequestPath(const ClusterConfig &config,
             node.engine->attachSlo(config.slo);
         if (config.spans != nullptr)
             node.engine->attachSpans(config.spans);
-        for (int b = 0; b <= static_cast<int>(
-                                 workload::Benchmark::HumanEval);
-             ++b) {
-            node.toolsByBenchmark.push_back(workload::makeToolSet(
-                static_cast<workload::Benchmark>(b), sim,
-                *node.engine, config.seed));
+        // Tool belts only for the benchmarks the mix's agents run.
+        node.toolsByBenchmark.resize(
+            static_cast<std::size_t>(workload::Benchmark::HumanEval) + 1);
+        for (const auto &spec : config.mix) {
+            auto &set =
+                node.toolsByBenchmark[static_cast<std::size_t>(spec.bench)];
+            if (!spec.chatbot && set == nullptr) {
+                set = workload::makeToolSet(spec.bench, sim, *node.engine,
+                                            config.seed);
+            }
         }
         nodes.push_back(std::move(node));
     }
@@ -1644,7 +1648,7 @@ detail::runRequestPath(const ClusterConfig &config,
         profile.seed = config.faults.seed;
         for (auto &node : nodes) {
             for (auto &set : node.toolsByBenchmark) {
-                for (std::size_t t = 0; t < set->size(); ++t)
+                for (std::size_t t = 0; set && t < set->size(); ++t)
                     set->at(t).setFaults(profile);
             }
         }
