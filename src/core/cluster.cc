@@ -93,8 +93,8 @@ struct Node
 struct ClusterState
 {
     ClusterResult result;
-    /** Submission of request 0: the makespan starts here. */
-    sim::Tick firstSubmit = 0;
+    /** Last completion or failure. The driver issues request 0 at
+     *  t = 0, so this is the makespan. */
     sim::Tick lastFinish = 0;
     /** Workload drained; periodic coroutines exit at next wake. */
     bool stopped = false;
@@ -1183,8 +1183,6 @@ clusterDriver(const ClusterConfig &config,
                 }
             }
         }
-        if (i == 0)
-            state.firstSubmit = sim.now();
         if (state.autoscaler != nullptr)
             state.autoscaler->recordArrival(sim.now());
         const std::size_t which = mixer.categorical(weights);
@@ -1689,8 +1687,7 @@ detail::runRequestPath(const ClusterConfig &config,
                     "cluster lost requests");
 
     ClusterResult out = std::move(state.result);
-    out.makespanSeconds = sim::toSeconds(
-        state.lastFinish - state.firstSubmit);
+    out.makespanSeconds = sim::toSeconds(state.lastFinish);
     if (faults)
         out.faultStats = faults->stats();
     if (maintenance)

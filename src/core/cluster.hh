@@ -220,8 +220,9 @@ struct ClusterConfig
      * coroutine records per-node queue depth / running count / KV
      * utilization, cluster burn rates and completion counters at the
      * store's own cadence (TimeSeriesStore::Config::periodSeconds),
-     * plus every registry scalar when `metrics` is set. Pure observer — attaching it never changes sim outcomes.
-     * Must outlive runCluster().
+     * plus every registry scalar when `metrics` is set. Pure observer
+     * — attaching it never changes sim outcomes. Must outlive
+     * runCluster().
      */
     telemetry::TimeSeriesStore *timeseries = nullptr;
 };
@@ -253,8 +254,7 @@ struct ClusterResult
     int solved = 0;
     /** Per-turn generation latencies (multi-turn sessions only). */
     stats::SampleSet turnSeconds;
-    /** Time-to-first-token of every chat generation that reached an
-     *  engine. */
+    /** Time-to-first-token of every chat generation that completed. */
     stats::SampleSet ttftSeconds;
     /** Requests abandoned after exhausting retries or missing SLOs. */
     int failed = 0;
@@ -386,9 +386,8 @@ namespace detail
 
 /**
  * How an entry point drives the one request path that runServing and
- * runCluster share. Not a configuration: each entry point passes its
- * own fixed values, and only runServing's modes differ from the
- * defaults.
+ * runCluster share. Not a configuration: each entry point names its
+ * own arrival stream, and only runServing sets the other fields.
  */
 struct RequestPathModes
 {
