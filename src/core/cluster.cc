@@ -329,12 +329,27 @@ routeWithFailover(const ClusterConfig &config, sim::Simulation &sim,
     co_return target;
 }
 
-/** Jittered exponential backoff before retry @p attempt (1-based). */
-double
-retrySleepSeconds(const RetryPolicy &retry, int attempt, sim::Rng &rng)
+/**
+ * Count one client retry and sleep its jittered exponential backoff
+ * (before retry @p attempt, 1-based) under a Backoff span.
+ */
+sim::Task<void>
+retryBackoff(const ClusterConfig &config, sim::Simulation &sim,
+             telemetry::SpanRef parent, int attempt, sim::Rng &rng,
+             ClusterState &state)
 {
-    return retry.backoffSeconds(attempt) *
-           (1.0 + rng.uniform(0.0, retry.jitter));
+    ++state.result.retries;
+    telemetry::SpanRef span;
+    if (config.spans != nullptr) {
+        span = config.spans->child(parent, telemetry::SpanKind::Backoff,
+                                   "backoff", sim.now());
+    }
+    co_await sim::delaySec(sim,
+                           config.retry.backoffSeconds(attempt) *
+                               (1.0 + rng.uniform(0.0,
+                                                  config.retry.jitter)));
+    if (config.spans != nullptr)
+        config.spans->end(span, sim.now());
 }
 
 /**
@@ -425,19 +440,9 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 co_return;
             }
             prev_attempt = attempt_span;
-            ++state.result.retries;
             ++state.result.retriesAdmission;
-            telemetry::SpanRef sleep_span;
-            if (config.spans != nullptr) {
-                sleep_span = config.spans->child(
-                    root, telemetry::SpanKind::Backoff, "backoff",
-                    sim.now());
-            }
-            co_await sim::delaySec(
-                sim,
-                retrySleepSeconds(config.retry, attempt, backoff));
-            if (config.spans != nullptr)
-                config.spans->end(sleep_span, sim.now());
+            co_await retryBackoff(config, sim, root, attempt, backoff,
+                                  state);
             continue;
         }
         ++node.assigned;
@@ -615,18 +620,8 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
         }
         if (retry_pending) {
             prev_attempt = attempt_span;
-            ++state.result.retries;
-            telemetry::SpanRef sleep_span;
-            if (config.spans != nullptr) {
-                sleep_span = config.spans->child(
-                    root, telemetry::SpanKind::Backoff, "backoff",
-                    sim.now());
-            }
-            co_await sim::delaySec(
-                sim,
-                retrySleepSeconds(config.retry, attempt, backoff));
-            if (config.spans != nullptr)
-                config.spans->end(sleep_span, sim.now());
+            co_await retryBackoff(config, sim, root, attempt, backoff,
+                                  state);
             // Without a checkpoint the rollout restarts from scratch
             // on the next pick (cold workflow prefix on a different
             // node); with one, the next attempt resumes at the last
@@ -783,23 +778,14 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                 co_return;
             }
             prev_attempt = attempt_span;
-            ++state.result.retries;
             if (!admitted)
                 ++state.result.retriesAdmission;
             else if (gen.shed)
                 ++state.result.retriesShed;
             else
                 ++state.result.retriesCrash;
-            telemetry::SpanRef sleep_span;
-            if (config.spans != nullptr) {
-                sleep_span = config.spans->child(
-                    parent, telemetry::SpanKind::Backoff, "backoff",
-                    sim.now());
-            }
-            co_await sim::delaySec(
-                sim, retrySleepSeconds(config.retry, attempt, backoff));
-            if (config.spans != nullptr)
-                config.spans->end(sleep_span, sim.now());
+            co_await retryBackoff(config, sim, parent, attempt, backoff,
+                                  state);
         }
         if (multi_turn) {
             if (config.spans != nullptr)
