@@ -630,6 +630,43 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
     }
 }
 
+/** Tokens of the system preamble every chat prompt starts with. */
+constexpr std::int64_t kChatSystemTokens = 40;
+
+/**
+ * Append the next user message of chat request @p index to @p prompt
+ * and return the length of the reply to generate: the whole ShareGPT
+ * conversation of a single-turn request, or message @p turn of a
+ * multi-turn session. Real chatbot traffic has little cross-request
+ * overlap (paper: prefix caching only buys ~1.03x there).
+ */
+std::int64_t
+appendChatMessage(std::vector<kv::TokenId> &prompt, std::uint64_t seed,
+                  std::uint64_t index, bool multi_turn, int turn)
+{
+    if (!multi_turn) {
+        const workload::ChatRequest chat =
+            workload::ShareGptSampler(seed).sample(index);
+        const auto convo = workload::makeTokens(
+            workload::substream(workload::streamId(seed, "chat.convo"),
+                                index),
+            std::max<std::int64_t>(1,
+                                   chat.promptTokens - kChatSystemTokens));
+        prompt.insert(prompt.end(), convo.begin(), convo.end());
+        return chat.outputTokens;
+    }
+    const workload::ChatTurn next =
+        workload::ChatSessionSampler(seed).turn(index, turn);
+    const auto user = workload::makeTokens(
+        workload::substream(
+            workload::substream(workload::streamId(seed, "chat.user"),
+                                index),
+            static_cast<std::uint64_t>(turn)),
+        next.userTokens);
+    prompt.insert(prompt.end(), user.begin(), user.end());
+    return next.outputTokens;
+}
+
 /**
  * One chat request: a single-turn ShareGPT query or, in multi-turn
  * mode, a conversation session whose turns extend one context
@@ -643,28 +680,14 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                   std::size_t workload_index, std::uint64_t index,
                   ClusterState &state)
 {
-    // A short shared system preamble, then the conversation: one
-    // unique ShareGPT prompt, or alternating user messages and
-    // assistant replies. Real chatbot traffic has little
-    // cross-request overlap (paper: prefix caching only buys ~1.03x
-    // there).
-    constexpr std::int64_t system_tokens = 40;
+    // The conversation context: the shared system preamble, then user
+    // messages and (multi-turn) the assistant's replies.
     std::vector<kv::TokenId> prompt = workload::makeTokens(
-        workload::streamId(config.seed, "chat.system"), system_tokens);
-    const workload::ChatSessionSampler sessions(config.seed);
-    std::int64_t output_tokens = 0;
-    if (!multi_turn) {
-        const workload::ChatRequest chat =
-            workload::ShareGptSampler(config.seed).sample(index);
-        const auto convo = workload::makeTokens(
-            workload::substream(
-                workload::streamId(config.seed, "chat.convo"), index),
-            std::max<std::int64_t>(1,
-                                   chat.promptTokens - system_tokens));
-        prompt.insert(prompt.end(), convo.begin(), convo.end());
-        output_tokens = chat.outputTokens;
-    }
-    const int turns = multi_turn ? sessions.turnCount(index) : 1;
+        workload::streamId(config.seed, "chat.system"), kChatSystemTokens);
+    const int turns =
+        multi_turn ? workload::ChatSessionSampler(config.seed).turnCount(
+                         index)
+                   : 1;
     const std::uint64_t session_id =
         sim::hashCombine(config.seed, multi_turn ? ~index : index);
 
@@ -681,32 +704,20 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
     telemetry::SpanRef prev_attempt;
     int prev_node = -1;
     for (int t = 0; t < turns; ++t) {
+        if (t > 0) {
+            co_await sim::delaySec(
+                sim, workload::ChatSessionSampler(config.seed)
+                         .thinkTimeSeconds(think));
+        }
+        const std::int64_t output_tokens =
+            appendChatMessage(prompt, config.seed, index, multi_turn, t);
         telemetry::SpanRef parent = root;
-        sim::Tick turn_start = submit;
-        if (multi_turn) {
-            if (t > 0) {
-                co_await sim::delaySec(sim,
-                                       sessions.thinkTimeSeconds(think));
-            }
-            const workload::ChatTurn turn = sessions.turn(index, t);
-            const auto user = workload::makeTokens(
-                workload::substream(
-                    workload::substream(
-                        workload::streamId(config.seed, "chat.user"),
-                        index),
-                    static_cast<std::uint64_t>(t)),
-                turn.userTokens);
-            prompt.insert(prompt.end(), user.begin(), user.end());
-            output_tokens = turn.outputTokens;
-            turn_start = sim.now();
-            if (config.spans != nullptr) {
-                parent = config.spans->child(
-                    root, telemetry::SpanKind::Iteration, "chat.turn",
-                    turn_start);
-            }
+        const sim::Tick turn_start = sim.now();
+        if (multi_turn && config.spans != nullptr) {
+            parent = config.spans->child(root, telemetry::SpanKind::Iteration,
+                                         "chat.turn", turn_start);
         }
 
-        serving::GenResult gen;
         int attempt = 0;
         for (;;) {
             telemetry::SpanRef attempt_span;
@@ -729,6 +740,7 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                     : 0.0;
             const bool admitted =
                 admitAttempt(config, sim, node, index, budget, state);
+            serving::GenResult gen;
             if (admitted) {
                 ++node.assigned;
 
@@ -750,6 +762,10 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                 router.health.reportSuccess(
                     static_cast<std::size_t>(target), sim.now());
                 state.result.ttftSeconds.add(gen.ttftSeconds);
+                if (multi_turn) {
+                    prompt.insert(prompt.end(), gen.tokens.begin(),
+                                  gen.tokens.end());
+                }
                 break;
             }
             if (admitted && (gen.timedOut || gen.failed)) {
@@ -792,8 +808,6 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                 config.spans->end(parent, sim.now());
             state.result.turnSeconds.add(
                 sim::toSeconds(sim.now() - turn_start));
-            prompt.insert(prompt.end(), gen.tokens.begin(),
-                          gen.tokens.end());
         }
     }
     if (config.spans != nullptr)
