@@ -304,6 +304,129 @@ TEST(ServingGolden, ClosedLoopReact)
                   2887, 47.140943248240717});
 }
 
+// ---------------------------------------------------------------
+// Golden per-request probe windows: every RequestProbe measurement
+// of a tool-using agent, a fan-out agent and a 70B node. Any change
+// to these figures is a behaviour change and must be stated as one.
+// ---------------------------------------------------------------
+
+struct RequestGolden
+{
+    bool solved;
+    int llmCalls;
+    int toolCalls;
+    double e2eSeconds;
+    std::int64_t promptTokens;
+    std::int64_t cachedPromptTokens;
+    std::int64_t outputTokens;
+    double energyWh;
+    double gpuBusySeconds;
+    double gpuPrefillSeconds;
+    double gpuDecodeSeconds;
+    double gpuCoreActiveSeconds;
+    double kvAvgBytes;
+    double kvMaxBytes;
+    double flops;
+    double blameSeconds;
+};
+
+void
+expectGolden(const core::ProbeResult &r,
+             const std::vector<RequestGolden> &requests,
+             double accuracy, double idle_fraction)
+{
+    ASSERT_EQ(r.requests.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE(i);
+        const core::RequestProbe &got = r.requests[i];
+        const RequestGolden &g = requests[i];
+        EXPECT_EQ(got.result.solved, g.solved);
+        EXPECT_EQ(got.result.llmCalls, g.llmCalls);
+        EXPECT_EQ(got.result.toolCalls, g.toolCalls);
+        EXPECT_DOUBLE_EQ(got.result.e2eSeconds, g.e2eSeconds);
+        EXPECT_EQ(got.result.promptTokensTotal, g.promptTokens);
+        EXPECT_EQ(got.result.cachedPromptTokensTotal,
+                  g.cachedPromptTokens);
+        EXPECT_EQ(got.result.outputTokens, g.outputTokens);
+        EXPECT_DOUBLE_EQ(got.energyWh, g.energyWh);
+        EXPECT_DOUBLE_EQ(got.gpuBusySeconds, g.gpuBusySeconds);
+        EXPECT_DOUBLE_EQ(got.gpuPrefillSeconds, g.gpuPrefillSeconds);
+        EXPECT_DOUBLE_EQ(got.gpuDecodeSeconds, g.gpuDecodeSeconds);
+        EXPECT_DOUBLE_EQ(got.gpuCoreActiveSeconds,
+                         g.gpuCoreActiveSeconds);
+        EXPECT_DOUBLE_EQ(got.kvAvgBytes, g.kvAvgBytes);
+        EXPECT_DOUBLE_EQ(got.kvMaxBytes, g.kvMaxBytes);
+        EXPECT_DOUBLE_EQ(got.flops, g.flops);
+        EXPECT_DOUBLE_EQ(got.blame.total(), g.blameSeconds);
+    }
+    EXPECT_DOUBLE_EQ(r.accuracy(), accuracy);
+    EXPECT_DOUBLE_EQ(r.meanGpuIdleFraction(), idle_fraction);
+}
+
+TEST(ProbeGolden, ReactHotpotQa)
+{
+    auto cfg = probeCfg(AgentKind::ReAct, Benchmark::HotpotQA, 4);
+    cfg.seed = 2026;
+    telemetry::SpanCollector spans;
+    cfg.spans = &spans;
+    expectGolden(
+        core::runProbe(cfg),
+        {{false, 6, 6, 12.84212, 11281, 8864, 405, 0.61668733581467738,
+          6.9524938289949194, 0.22760287093011222, 6.7248909580648064,
+          0.25829561608951046, 144420696.1784777, 364904448,
+          44323527720960, 12.842120000000001},
+         {true, 3, 2, 5.115259, 3704, 3360, 245, 0.32380638453097021,
+          4.1061942067647941, 0.050490652089552446, 4.0557035546752402,
+          0.053539960588531554, 138066280.18752521, 205520896,
+          9187457236992, 5.115259},
+         {false, 7, 7, 17.332567999999998, 13602, 12432, 609,
+          0.88085869223317503, 10.284651771949564, 0.14076774563247757,
+          10.143884026317094, 0.16504405977808878, 156800291.57166785,
+          358612992, 28321560657920, 17.332568000000002},
+         {false, 7, 7, 20.404502000000001, 14801, 13184, 622,
+          0.9444438525898744, 10.536776477882004, 0.17081704223917726,
+          10.365959435642822, 0.20944145811393938, 139406269.72759169,
+          417333248, 35940154212352, 20.404502000000001}},
+        0.25, 0.38652933800495121);
+}
+
+TEST(ProbeGolden, LatsFanOut)
+{
+    auto cfg = probeCfg(AgentKind::Lats, Benchmark::HotpotQA, 2);
+    cfg.seed = 2026;
+    telemetry::SpanCollector spans;
+    cfg.spans = &spans;
+    expectGolden(
+        core::runProbe(cfg),
+        {{true, 14, 8, 11.919298, 19308, 16320, 743, 0.60314566419128668,
+          6.9356253794736595, 0.29555830299390878, 6.6400670764797516,
+          0.33912402769752903, 142174117.42736393, 335544320,
+          58193683152896, 11.919298},
+         {true, 12, 6, 7.5876359999999998, 14487, 13264, 709,
+          0.42430713831497519, 5.1187004425266949, 0.1305110439492847,
+          4.9881893985774122, 0.17518154711421929, 134244884.49150908,
+          331350016, 30061153484800, 7.5876359999999989}},
+        1.0, 0.3717536317470978);
+}
+
+TEST(ProbeGolden, Reflexion70bWithoutSpans)
+{
+    auto cfg = probeCfg(AgentKind::Reflexion, Benchmark::HotpotQA, 2);
+    cfg.engineConfig = core::enginePreset70b();
+    cfg.seed = 2026;
+    expectGolden(
+        core::runProbe(cfg),
+        {{true, 6, 5, 13.508563000000001, 9282, 7568, 414,
+          6.4998866617201569, 10.077886441815897, 0.26548766494459469,
+          9.8123987768713032, 0.29219297195661237, 372363198.64896363,
+          692060160, 300841883926528, 0},
+         {true, 6, 3, 12.040150000000001, 6144, 5376, 416,
+          6.2679672538183153, 10.011473008260873, 0.16177011576850353,
+          9.8497028924923722, 0.16199385749979772, 283550131.04829425,
+          545259520, 166788875681792, 0}},
+        1.0, 0.21122788461747638);
+}
+
 TEST(Table, RendersAlignedCells)
 {
     core::Table t("Demo");
