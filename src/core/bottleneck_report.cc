@@ -115,16 +115,26 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                         sim::strfmt(" (%.2fs)", ex.latencySeconds)
                             .c_str()));
         // Nestable async events pair like a stack in timestamp order,
-        // so interleave begins and ends sorted by time: ends before
-        // begins at the same tick, inner (later-begun) ends first,
-        // outer (longer) begins first. Properly nested spans and
-        // same-start sibling fan-out then pair exactly; only true
-        // partial crossings (DAG tools) can swap labels.
+        // so interleave begins and ends sorted by time. At one tick:
+        // ends of spans begun earlier (inner, later-begun first), then
+        // begins (outer, longer first), then the ends of zero-length
+        // spans (last-begun first), so every span's `b` precedes its
+        // own `e`. Properly nested spans and same-start sibling
+        // fan-out then pair exactly; only true partial crossings (DAG
+        // tools) can swap labels.
         struct Event
         {
             sim::Tick at;
             bool isEnd;
             std::uint32_t span;
+
+            int
+            rank(const telemetry::SpanTree &tree) const
+            {
+                if (!isEnd)
+                    return 1;
+                return tree.spans[span].start < at ? 0 : 2;
+            }
         };
         std::vector<Event> events;
         events.reserve(ex.tree.spans.size() * 2);
@@ -139,13 +149,19 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
             [&](const Event &a, const Event &b) {
                 if (a.at != b.at)
                     return a.at < b.at;
-                if (a.isEnd != b.isEnd)
-                    return a.isEnd;
+                const int ra = a.rank(ex.tree);
+                const int rb = b.rank(ex.tree);
+                if (ra != rb)
+                    return ra < rb;
                 const telemetry::Span &sa = ex.tree.spans[a.span];
                 const telemetry::Span &sb = ex.tree.spans[b.span];
-                if (a.isEnd)
+                if (ra == 0 && sa.start != sb.start)
                     return sa.start > sb.start;
-                return sa.end > sb.end;
+                if (ra == 1)
+                    return sa.end > sb.end;
+                // Children follow their parents in the tree, so the
+                // higher index is the inner span.
+                return a.span > b.span;
             });
         for (const Event &ev : events) {
             const telemetry::Span &span = ex.tree.spans[ev.span];

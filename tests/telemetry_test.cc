@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/bottleneck_report.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
 #include "core/trace_export.hh"
@@ -809,6 +810,60 @@ TEST(Spans, SessionResetClearsSpansAndEngineSamples)
     EXPECT_TRUE(session.spans.empty());
     EXPECT_EQ(session.spans.requestsFinished(), 0);
     EXPECT_TRUE(session.spans.exemplars().empty());
+}
+
+TEST(Spans, ExemplarBeginsPrecedeTheirEnds)
+{
+    // Zero-length spans at a tick where other spans begin and end:
+    // a queue span at t = 0 under the root, and a preempt marker at
+    // t = 2 where one phase ends and the next begins.
+    SpanCollector spans;
+    const SpanRef root = spans.beginRequest(1, "test/zero", 0);
+    const SpanRef queue =
+        spans.child(root, SpanKind::Queue, "queue", 0);
+    spans.end(queue, 0);
+    const SpanRef prefill = spans.child(root, SpanKind::Prefill,
+                                        "prefill", 0);
+    spans.end(prefill, sim::fromSeconds(2.0));
+    const SpanRef preempt = spans.child(root, SpanKind::Preempt,
+                                        "preempt",
+                                        sim::fromSeconds(2.0));
+    spans.end(preempt, sim::fromSeconds(2.0));
+    const SpanRef decode = spans.child(root, SpanKind::Decode, "decode",
+                                       sim::fromSeconds(2.0));
+    spans.end(decode, sim::fromSeconds(3.0));
+    spans.finishRequest(root, sim::fromSeconds(3.0));
+
+    telemetry::TraceSink trace;
+    core::emitSpanExemplars(spans, trace);
+    const std::string json = trace.toJson();
+    // Walk the b/e events in order: the lane's depth never goes
+    // negative, and each span name ends only after it began.
+    int depth = 0;
+    std::vector<std::string> open;
+    std::size_t at = 0;
+    while ((at = json.find("\"ph\":\"", at)) != std::string::npos) {
+        const char ph = json[at + 6];
+        at += 7;
+        if (ph != 'b' && ph != 'e')
+            continue;
+        const std::size_t name_at =
+            json.rfind("{\"name\":\"", at) + 9;
+        const std::string name =
+            json.substr(name_at, json.find('"', name_at) - name_at);
+        if (ph == 'b') {
+            ++depth;
+            open.push_back(name);
+            continue;
+        }
+        ASSERT_GT(depth, 0) << name << " ends before any begin";
+        --depth;
+        ASSERT_NE(std::find(open.begin(), open.end(), name), open.end())
+            << name << " ends before it began";
+        open.erase(std::find(open.begin(), open.end(), name));
+    }
+    EXPECT_EQ(depth, 0);
+    EXPECT_TRUE(open.empty());
 }
 
 TEST(Spans, TraceSinkCapsEventsAndCountsDrops)
