@@ -46,6 +46,14 @@ build/bench/tail_blame --smoke --trace "${work}/trace.json" \
     --metrics "${work}/metrics.prom" > /dev/null
 python3 scripts/check_trace.py "${work}/trace.json" "${work}/metrics.prom"
 
+# The same check on a probe run: runProbe's closed-loop one-node run
+# emits the shared path's trace lanes, span exemplars and blame export.
+echo "==> probe trace validity gate (fig03_timelines)"
+build/bench/fig03_timelines --trace "${work}/probe_trace.json" \
+    --metrics "${work}/probe_metrics.prom" > /dev/null
+python3 scripts/check_trace.py "${work}/probe_trace.json" \
+    "${work}/probe_metrics.prom"
+
 # Incident-capture gate: the chaos smoke run's injected engine stalls
 # must trip the SLO burn alerter and dump at least one incident
 # bundle whose window and blame table pass schema validation

@@ -118,6 +118,9 @@ struct ClusterState
     bool scaleInInFlight = false;
     /** Keeps in-flight scale-out/scale-in coroutine frames alive. */
     std::vector<sim::Task<void>> scaleOps;
+
+    /** Per-completion hook of the entry point (null when unset). */
+    const detail::RequestPathModes::AgentDone *onAgentDone = nullptr;
 };
 
 /** Stable identity of a workload component (for affinity hashing). */
@@ -546,9 +549,10 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
         bool retry_pending = false;
         try {
             agents::AgentResult result = co_await agent->run(ctx);
+            telemetry::BlameVector blame;
             if (config.spans != nullptr) {
                 config.spans->end(attempt_span, sim.now());
-                config.spans->finishRequest(root, sim.now());
+                blame = config.spans->finishRequest(root, sim.now());
             }
             if (state.autoscaler != nullptr && result.llmCalls > 0) {
                 state.autoscaler->recordQueueDelay(
@@ -564,6 +568,10 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 state.checkpoints->erase(index);
             noteCompletion(state, submit, sim.now(), workload_index,
                            result.solved);
+            if (state.onAgentDone != nullptr) {
+                (*state.onAgentDone)(*node.engine, sim.now(),
+                                     std::move(result), blame);
+            }
             co_return;
         } catch (const agents::DeadlineExceededError &) {
             // The SLO is already blown; a retry cannot un-miss it.
@@ -1564,6 +1572,8 @@ detail::runRequestPath(const ClusterConfig &config,
     }
 
     ClusterState state;
+    if (modes.onAgentDone)
+        state.onAgentDone = &modes.onAgentDone;
     state.result.perWorkloadSeconds.resize(config.mix.size());
     state.activeNodes = config.numNodes;
     state.result.peakActiveNodes = config.numNodes;

@@ -36,6 +36,7 @@
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/slo.hh"
+#include "telemetry/span.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 #include "workload/benchmark.hh"
@@ -385,12 +386,20 @@ namespace detail
 {
 
 /**
- * How an entry point drives the one request path that runServing and
- * runCluster share. Not a configuration: each entry point names its
- * own arrival stream, and only runServing sets the other fields.
+ * How an entry point drives the one request path that runServing,
+ * runProbe and runCluster share. Not a configuration: each entry
+ * point names its own arrival stream, and only runServing and
+ * runProbe set the other fields.
  */
 struct RequestPathModes
 {
+    /** Per-completion hook: the serving node's engine, the completion
+     *  tick, the rollout's result and its critical-path blame (all
+     *  zero without a span collector). */
+    using AgentDone = std::function<void(
+        serving::LlmEngine &, sim::Tick, agents::AgentResult &&,
+        const telemetry::BlameVector &)>;
+
     /** Name of the arrival RNG stream. */
     const char *arrivalStream = nullptr;
     /** Issue each request only after the previous one completes. */
@@ -408,6 +417,9 @@ struct RequestPathModes
                        const serving::LlmEngine &,
                        const ClusterResult &)>
         servingExport;
+    /** runProbe's per-rollout measurement, called after each
+     *  completed agent rollout is counted. */
+    AgentDone onAgentDone;
 };
 
 /** Run @p config through the shared driver, workers, completion

@@ -3,7 +3,9 @@
  * Single-request characterization probes (paper §IV-A/B, §V): run an
  * agent over a set of tasks one request at a time against a warm
  * serving engine, and collect per-request latency, token, GPU-phase,
- * KV-memory and energy measurements.
+ * KV-memory and energy measurements. A probe is a closed-loop run of
+ * the one-node fleet (core/serving_system.hh), so it shares the
+ * serving system's driver, workers and observers.
  */
 
 #ifndef AGENTSIM_CORE_PROBE_HH
@@ -32,16 +34,14 @@ struct ProbeConfig
     agents::AgentKind agent{};
     workload::Benchmark bench{};
     agents::AgentConfig agentConfig;
+    /** The node's engine; its seed is derived from `seed`, as for
+     *  every fleet node. */
     serving::EngineConfig engineConfig;
     /** Number of tasks, processed strictly one at a time. */
     int numTasks = 20;
     std::uint64_t seed = 1;
 
-    /**
-     * Optional telemetry collection (see ServeConfig::telemetry).
-     * The probe additionally snapshots the registry after every
-     * task, giving a per-request metrics time series.
-     */
+    /** Optional telemetry collection (see ServeConfig::telemetry). */
     telemetry::SessionTelemetry *telemetry = nullptr;
 
     /**

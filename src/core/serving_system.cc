@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "agents/accuracy.hh"
-#include "core/cluster.hh"
 #include "sim/logging.hh"
 #include "telemetry/sim_metrics.hh"
 
@@ -29,8 +28,9 @@ exportLatencyHistogram(telemetry::MetricsRegistry &registry,
 
 } // namespace
 
-ServeResult
-runServing(const ServeConfig &config)
+ClusterResult
+detail::runServingPath(const ServeConfig &config,
+                       RequestPathModes::AgentDone on_agent_done)
 {
     AGENTSIM_ASSERT(config.numRequests > 0, "serving without requests");
     if (!config.closedLoop && !(config.qps > 0)) {
@@ -87,7 +87,14 @@ runServing(const ServeConfig &config)
             t->engineSamples = engine.sampler().samples();
         };
     }
-    ClusterResult r = detail::runRequestPath(fleet, modes);
+    modes.onAgentDone = std::move(on_agent_done);
+    return detail::runRequestPath(fleet, modes);
+}
+
+ServeResult
+runServing(const ServeConfig &config)
+{
+    ClusterResult r = detail::runServingPath(config, {});
 
     const NodeResult &node = r.nodes.front();
     ServeResult out;

@@ -12,6 +12,7 @@
 #define AGENTSIM_CORE_SERVING_SYSTEM_HH
 
 #include "agents/workflows.hh"
+#include "core/cluster.hh"
 #include "serving/engine.hh"
 #include "stats/summary.hh"
 #include "telemetry/session.hh"
@@ -136,6 +137,20 @@ struct ServeResult
 
 /** Run one serving experiment. */
 ServeResult runServing(const ServeConfig &config);
+
+namespace detail
+{
+
+/**
+ * runServing's run: @p config mapped onto the one-node, fault-free
+ * fleet and driven through runRequestPath with runServing's modes and
+ * end-of-run export, plus @p on_agent_done as the per-rollout hook.
+ * runProbe runs through here too.
+ */
+ClusterResult runServingPath(const ServeConfig &config,
+                             RequestPathModes::AgentDone on_agent_done);
+
+} // namespace detail
 
 } // namespace agentsim::core
 
