@@ -118,46 +118,38 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
         // so interleave begins and ends sorted by time. At one tick:
         // ends of spans begun earlier (inner, later-begun first), then
         // begins (outer, longer first), then the ends of zero-length
-        // spans (last-begun first), so every span's `b` precedes its
-        // own `e`. Properly nested spans and same-start sibling
-        // fan-out then pair exactly; only true partial crossings (DAG
-        // tools) can swap labels.
+        // spans (inner first), so every span's `b` precedes its own
+        // `e`. Properly nested spans and same-start sibling fan-out
+        // then pair exactly; only true partial crossings (DAG tools)
+        // can swap labels.
         struct Event
         {
             sim::Tick at;
-            bool isEnd;
+            /** Order within a tick: 0 end, 1 begin, 2 zero-length end. */
+            int rank;
             std::uint32_t span;
-
-            int
-            rank(const telemetry::SpanTree &tree) const
-            {
-                if (!isEnd)
-                    return 1;
-                return tree.spans[span].start < at ? 0 : 2;
-            }
         };
         std::vector<Event> events;
         events.reserve(ex.tree.spans.size() * 2);
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(ex.tree.spans.size());
              ++i) {
-            events.push_back({ex.tree.spans[i].start, false, i});
-            events.push_back({ex.tree.spans[i].end, true, i});
+            const telemetry::Span &span = ex.tree.spans[i];
+            events.push_back({span.start, 1, i});
+            events.push_back({span.end, span.start < span.end ? 0 : 2, i});
         }
         std::stable_sort(
             events.begin(), events.end(),
             [&](const Event &a, const Event &b) {
                 if (a.at != b.at)
                     return a.at < b.at;
-                const int ra = a.rank(ex.tree);
-                const int rb = b.rank(ex.tree);
-                if (ra != rb)
-                    return ra < rb;
+                if (a.rank != b.rank)
+                    return a.rank < b.rank;
                 const telemetry::Span &sa = ex.tree.spans[a.span];
                 const telemetry::Span &sb = ex.tree.spans[b.span];
-                if (ra == 0 && sa.start != sb.start)
+                if (a.rank == 0)
                     return sa.start > sb.start;
-                if (ra == 1)
+                if (a.rank == 1)
                     return sa.end > sb.end;
                 // Children follow their parents in the tree, so the
                 // higher index is the inner span.
@@ -169,7 +161,7 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                 span.label.empty()
                     ? std::string(telemetry::spanKindName(span.kind))
                     : span.label;
-            if (ev.isEnd) {
+            if (ev.rank != 1) {
                 trace.asyncEnd(telemetry::TracePid::kSpans, lane, name,
                                "span", ev.at);
                 continue;

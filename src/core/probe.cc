@@ -101,30 +101,15 @@ runProbe(const ProbeConfig &config)
     return out;
 }
 
-namespace
-{
-
-/** Mean of @p field over @p requests (0 without requests). */
-template <typename Field>
-double
-meanOver(const std::vector<RequestProbe> &requests, Field field)
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests)
-        total += field(r);
-    return total / static_cast<double>(requests.size());
-}
-
-} // namespace
-
 double
 ProbeResult::accuracy() const
 {
-    return meanOver(requests, [](const RequestProbe &r) {
-        return r.result.solved ? 1.0 : 0.0;
-    });
+    if (requests.empty())
+        return 0.0;
+    double solved = 0.0;
+    for (const auto &r : requests)
+        solved += r.result.solved ? 1.0 : 0.0;
+    return solved / static_cast<double>(requests.size());
 }
 
 stats::SampleSet
@@ -139,31 +124,45 @@ ProbeResult::e2eSeconds() const
 double
 ProbeResult::meanLlmCalls() const
 {
-    return meanOver(requests, [](const RequestProbe &r) {
-        return static_cast<double>(r.result.llmCalls);
-    });
+    if (requests.empty())
+        return 0.0;
+    double total = 0.0;
+    for (const auto &r : requests)
+        total += r.result.llmCalls;
+    return total / static_cast<double>(requests.size());
 }
 
 double
 ProbeResult::meanToolCalls() const
 {
-    return meanOver(requests, [](const RequestProbe &r) {
-        return static_cast<double>(r.result.toolCalls);
-    });
+    if (requests.empty())
+        return 0.0;
+    double total = 0.0;
+    for (const auto &r : requests)
+        total += r.result.toolCalls;
+    return total / static_cast<double>(requests.size());
 }
 
 double
 ProbeResult::meanEnergyWh() const
 {
-    return meanOver(requests,
-                    [](const RequestProbe &r) { return r.energyWh; });
+    if (requests.empty())
+        return 0.0;
+    double total = 0.0;
+    for (const auto &r : requests)
+        total += r.energyWh;
+    return total / static_cast<double>(requests.size());
 }
 
 double
 ProbeResult::meanFlops() const
 {
-    return meanOver(requests,
-                    [](const RequestProbe &r) { return r.flops; });
+    if (requests.empty())
+        return 0.0;
+    double total = 0.0;
+    for (const auto &r : requests)
+        total += r.flops;
+    return total / static_cast<double>(requests.size());
 }
 
 serving::CostLedger
@@ -178,11 +177,15 @@ ProbeResult::totalCost() const
 double
 ProbeResult::meanGpuIdleFraction() const
 {
-    return meanOver(requests, [](const RequestProbe &r) {
-        return r.result.e2eSeconds > 0
-                   ? 1.0 - r.gpuBusySeconds / r.result.e2eSeconds
-                   : 0.0;
-    });
+    if (requests.empty())
+        return 0.0;
+    double total = 0.0;
+    for (const auto &r : requests) {
+        if (r.result.e2eSeconds > 0) {
+            total += 1.0 - r.gpuBusySeconds / r.result.e2eSeconds;
+        }
+    }
+    return total / static_cast<double>(requests.size());
 }
 
 } // namespace agentsim::core
