@@ -97,8 +97,6 @@ autoscalerConfig()
     a.minDelaySamples = 6;
     a.scaleOutCooldownSeconds = 8.0;
     a.scaleInCooldownSeconds = 18.0;
-    a.drainDeadlineSeconds = 5.0;
-    a.admissionDeadlineFraction = 0.5;
     return a;
 }
 

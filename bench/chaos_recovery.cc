@@ -77,7 +77,6 @@ recoveryConfig(bool smoke, int every_iterations)
     auto cfg = baseConfig(smoke);
     cfg.checkpoint.enabled = true;
     cfg.checkpoint.everyIterations = every_iterations;
-    cfg.checkpoint.minIterations = 1;
     return cfg;
 }
 

@@ -184,7 +184,7 @@ main(int argc, char **argv)
                 sloConfig().ttftTargetSeconds,
                 sloConfig().tbtTargetSeconds,
                 sloConfig().e2eTargetSeconds,
-                sloConfig().attainmentTarget * 100.0);
+                telemetry::kSloAttainmentTarget * 100.0);
 
     // --- Sweep 2: tool fault rate vs rollout latency. --------------
     core::Table tool_table(

@@ -5,16 +5,18 @@
  * the flight recorder's retroactive rings) costs in host wall time on
  * a fixed serving workload.
  *
- * The same ReAct serving run executes bare and fully instrumented
- * (several repetitions each, best-of to shed scheduler noise), and the
- * binary reports
+ * The same ReAct serving run executes bare and fully instrumented,
+ * alternating in pairs (the side that runs first alternates too, so
+ * slow drift in host speed cancels). Each pair gives one overhead
  *
- *   telemetry_overhead_pct = (instrumented - bare) / bare * 100
+ *   (instrumented - bare) / bare * 100
  *
- * into the perf report (informational — host timing never gates a
- * diff). It also enforces the observer-purity contract: the
- * instrumented run must produce byte-for-byte the same request-level
- * results as the bare run, or the binary exits non-zero.
+ * and the binary reports the median over all pairs, with the
+ * interquartile range as its spread, into the perf report
+ * (informational — host timing never gates a diff). It also enforces
+ * the observer-purity contract on every pair: the instrumented run
+ * must produce the same request-level results as the bare run, or the
+ * binary exits non-zero.
  *
  *   obs_overhead [--report out.json] [--smoke]
  */
@@ -56,44 +58,67 @@ main(int argc, char **argv)
     telemetry.report().setGenerator("obs_overhead");
 
     const int requests = smoke ? 40 : 120;
-    const int reps = smoke ? 2 : 3;
+    const int pairs = smoke ? 4 : 31;
 
-    // Bare runs: no telemetry at all.
-    ServeResult bare;
-    double bare_wall = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
+    const auto run = [requests](telemetry::SessionTelemetry *session) {
         auto cfg = makeWorkload(requests);
-        const auto r = core::runServing(cfg);
-        if (rep == 0 || r.simWallSeconds < bare_wall)
-            bare_wall = r.simWallSeconds;
-        bare = r;
-    }
+        if (session != nullptr) {
+            // Trace sink + spans + time-series sampler + flight-
+            // recorder rings all live (no SLO tracker, so no incident
+            // is ever dumped — this measures the always-on cost).
+            session->reset();
+            cfg.telemetry = session;
+            cfg.recorder = &session->recorder;
+            cfg.timeseries = &session->timeseries;
+        }
+        return core::runServing(cfg);
+    };
+    // Observer purity: instrumentation must not change the sim.
+    const auto identical = [](const ServeResult &a, const ServeResult &b) {
+        return a.completed == b.completed && a.solved == b.solved &&
+               a.p50() == b.p50() && a.p95() == b.p95() &&
+               a.engineStats.busySeconds == b.engineStats.busySeconds;
+    };
 
-    // Instrumented runs: trace sink + spans + time-series sampler +
-    // flight-recorder rings all live (no SLO tracker, so no incident
-    // is ever dumped — this measures the always-on cost).
     telemetry::SessionTelemetry session;
+    ServeResult bare;
     ServeResult instr;
-    double instr_wall = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        auto cfg = makeWorkload(requests);
-        session.reset();
-        cfg.telemetry = &session;
-        cfg.recorder = &session.recorder;
-        cfg.timeseries = &session.timeseries;
-        const auto r = core::runServing(cfg);
-        if (rep == 0 || r.simWallSeconds < instr_wall)
-            instr_wall = r.simWallSeconds;
-        instr = r;
+    stats::SampleSet bare_walls;
+    stats::SampleSet instr_walls;
+    stats::SampleSet overheads;
+    for (int pair = 0; pair < pairs; ++pair) {
+        if (pair % 2 == 0) {
+            bare = run(nullptr);
+            instr = run(&session);
+        } else {
+            instr = run(&session);
+            bare = run(nullptr);
+        }
+        if (!identical(bare, instr)) {
+            std::fprintf(stderr,
+                         "error: instrumented run diverged from bare "
+                         "run in pair %d (telemetry is supposed to be "
+                         "a pure observer)\n",
+                         pair);
+            return 1;
+        }
+        bare_walls.add(bare.simWallSeconds);
+        instr_walls.add(instr.simWallSeconds);
+        overheads.add(bare.simWallSeconds > 0.0
+                          ? (instr.simWallSeconds - bare.simWallSeconds) /
+                                bare.simWallSeconds * 100.0
+                          : 0.0);
     }
-
-    const double overhead_pct =
-        bare_wall > 0.0 ? (instr_wall - bare_wall) / bare_wall * 100.0
-                        : 0.0;
+    const double bare_wall = bare_walls.median();
+    const double instr_wall = instr_walls.median();
+    const double overhead_pct = overheads.median();
+    const double overhead_iqr_pct =
+        overheads.percentile(75.0) - overheads.percentile(25.0);
 
     core::Table table("Observability overhead (ReAct/HotpotQA, "
                       "open loop)");
-    table.header({"Mode", "Wall", "Events", "p50", "p95", "GPU busy"});
+    table.header(
+        {"Mode", "Median wall", "Events", "p50", "p95", "GPU busy"});
     table.row({"bare", sim::strfmt("%.3f s", bare_wall),
                core::fmtCount(bare.simEventsProcessed),
                core::fmtSeconds(bare.p50()),
@@ -106,33 +131,23 @@ main(int argc, char **argv)
                core::fmtSeconds(instr.engineStats.busySeconds)});
     table.print();
 
-    std::printf("\nTelemetry overhead: %.1f%% host wall time "
-                "(best of %d; trace %zu events, %lld spans, "
-                "%zu time-series points, recorder rings %zu/%zu).\n",
-                overhead_pct, reps, session.trace.eventCount(),
+    std::printf("\nTelemetry overhead: %.1f%% host wall time (median "
+                "of %d alternating pairs, interquartile range %.1f "
+                "points; trace %zu events, %lld spans, %zu time-series "
+                "points, recorder rings %zu/%zu).\n",
+                overhead_pct, pairs, overhead_iqr_pct,
+                session.trace.eventCount(),
                 static_cast<long long>(session.spans.requestsFinished()),
                 session.timeseries.pointsRetained(),
                 session.recorder.traceEventsRetained(),
                 session.recorder.spansRetained());
-
-    // Observer purity: instrumentation must not change the sim.
-    const bool identical =
-        bare.completed == instr.completed &&
-        bare.solved == instr.solved && bare.p50() == instr.p50() &&
-        bare.p95() == instr.p95() &&
-        bare.engineStats.busySeconds == instr.engineStats.busySeconds;
-    if (!identical) {
-        std::fprintf(stderr,
-                     "error: instrumented run diverged from bare run "
-                     "(telemetry is supposed to be a pure observer)\n");
-        return 1;
-    }
-    std::printf("Observer purity: instrumented run bit-identical to "
-                "bare run (completed/solved/p50/p95/GPU busy).\n");
+    std::printf("Observer purity: every instrumented run identical to "
+                "its bare pair (completed/solved/p50/p95/GPU busy).\n");
 
     if (telemetry.reportRequested()) {
         auto &rep = telemetry.report();
         rep.set("telemetry_overhead_pct", overhead_pct);
+        rep.set("telemetry_overhead_iqr_pct", overhead_iqr_pct);
         rep.set("sim_bare_wall_seconds", bare_wall);
         rep.set("sim_instrumented_wall_seconds", instr_wall);
     }

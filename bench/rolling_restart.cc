@@ -193,7 +193,7 @@ main(int argc, char **argv)
         cfg.maintenance.mode = sim::MaintenanceMode::DrainMigrate;
         cfg.faults.nodeMtbfSeconds = 40.0;
         cfg.faults.nodeRestartMeanSeconds = 5.0;
-        cfg.brownout.enabled = enabled;
+        cfg.brownout = enabled;
         telemetry::SloTracker slo(sloConfig());
         cfg.slo = &slo;
         // Telemetry files capture the brownout-on point: the Chrome

@@ -201,7 +201,8 @@ struct AgentContext
  * was offline) or shed the request at admission. The rollout cannot
  * continue on this node — its KV and conversation state are tied to
  * in-flight work that is gone — so the whole rollout should be
- * retried, typically on another node (see core::RetryPolicy).
+ * retried, typically on another node (see the retry constants in
+ * core/cluster.cc).
  */
 class NodeFailureError : public std::runtime_error
 {

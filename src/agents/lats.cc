@@ -429,8 +429,7 @@ LatsAgent::run(AgentContext ctx)
         // resumed answer/rollout calls are most likely to reuse.
         if (ctx.checkpoints != nullptr &&
             ctx.checkpoints->policy().enabled &&
-            ctx.checkpoints->shouldCheckpoint(ctx.episodeKey,
-                                              rounds_used)) {
+            ctx.checkpoints->shouldCheckpoint(rounds_used)) {
             auto state = std::make_shared<LatsEpisodeState>(rng, trace);
             state->root = cloneTree(*root, nullptr);
             int counter = 0;

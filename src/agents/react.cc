@@ -180,8 +180,7 @@ ReActAgent::run(AgentContext ctx)
                          const TrialOutcome &outcome,
                          const TrajectoryMemory &memory_now,
                          double capability, const sim::Rng &rng_now) {
-            if (!ctx.checkpoints->shouldCheckpoint(ctx.episodeKey,
-                                                   outcome.iterations))
+            if (!ctx.checkpoints->shouldCheckpoint(outcome.iterations))
                 return;
             auto state =
                 std::make_shared<ReactEpisodeState>(rng_now, trace);

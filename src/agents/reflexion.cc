@@ -109,8 +109,7 @@ ReflexionAgent::run(AgentContext ctx)
                              const sim::Rng &rng_now) {
                 const int completed =
                     iterations_before + outcome.iterations;
-                if (!ctx.checkpoints->shouldCheckpoint(ctx.episodeKey,
-                                                       completed))
+                if (!ctx.checkpoints->shouldCheckpoint(completed))
                     return;
                 auto state = std::make_shared<ReflexionEpisodeState>(
                     rng_now, trace);
@@ -170,8 +169,7 @@ ReflexionAgent::run(AgentContext ctx)
         // (capabilityDrawn=false) makes the resumed trial draw its
         // capability from the restored stream.
         if (journaling &&
-            ctx.checkpoints->shouldCheckpoint(ctx.episodeKey,
-                                              iterations_total)) {
+            ctx.checkpoints->shouldCheckpoint(iterations_total)) {
             auto state =
                 std::make_shared<ReflexionEpisodeState>(rng, trace);
             state->episodic = episodic;

@@ -16,6 +16,31 @@
 namespace agentsim::core
 {
 
+namespace
+{
+
+/** Time constant of the arrival- and completion-rate EWMAs, s. */
+constexpr double kArrivalTauSeconds = 20.0;
+/** Fraction of provisioned capacity predicted demand may use before
+ *  the capacity term signals pressure. */
+constexpr double kTargetUtilization = 0.75;
+/** Scale in only when predicted demand still fits in one fewer node
+ *  at this utilization. */
+constexpr double kScaleInUtilization = 0.5;
+static_assert(kScaleInUtilization < kTargetUtilization,
+              "scale-in band must sit below the scale-out target, or "
+              "the controller flaps");
+/** Scale out when any SLO burn rate reaches this multiple. */
+constexpr double kBurnHighThreshold = 1.5;
+/** Scale in only when the burn rate is below this multiple. */
+constexpr double kBurnLowThreshold = 0.75;
+/** Fraction of a request's remaining deadline the projected queue
+ *  delay may consume before reject-fast (the rest is reserved for
+ *  actual service time). */
+constexpr double kAdmissionDeadlineFraction = 0.5;
+
+} // namespace
+
 std::string_view
 scaleDecisionName(ScaleDecision decision)
 {
@@ -32,18 +57,14 @@ scaleDecisionName(ScaleDecision decision)
 }
 
 double
-nodeWarmupSeconds(const AutoscalerConfig &config,
-                  const llm::ModelSpec &model, const llm::NodeSpec &node)
+nodeWarmupSeconds(const llm::ModelSpec &model, const llm::NodeSpec &node)
 {
-    double bw = config.weightLoadBandwidth > 0.0
-                    ? config.weightLoadBandwidth
-                    : node.hostOffloadBandwidth;
-    AGENTSIM_ASSERT(bw > 0.0,
+    AGENTSIM_ASSERT(node.hostOffloadBandwidth > 0.0,
                     "node warm-up needs a weight-load bandwidth");
     AGENTSIM_ASSERT(node.numGpus > 0, "node without GPUs");
     double shard_bytes =
         model.weightBytes() / static_cast<double>(node.numGpus);
-    return config.nodeBootSeconds + shard_bytes / bw;
+    return kNodeBootSeconds + shard_bytes / node.hostOffloadBandwidth;
 }
 
 // ---------------------------------------------------------------------
@@ -69,7 +90,7 @@ AutoscalerController::recordArrival(sim::Tick now)
         return;
     }
     double inst = 1.0 / dt;
-    double a = std::exp(-dt / config_.arrivalTauSeconds);
+    double a = std::exp(-dt / kArrivalTauSeconds);
     arrivalRate_ = a * arrivalRate_ + (1.0 - a) * inst;
 }
 
@@ -81,7 +102,7 @@ AutoscalerController::predictedQps(sim::Tick now) const
     // Decay toward zero over quiet gaps, so a dead workload does not
     // hold capacity forever on a stale estimate.
     double idle = sim::toSeconds(std::max<sim::Tick>(0, now - lastArrival_));
-    return arrivalRate_ * std::exp(-idle / config_.arrivalTauSeconds);
+    return arrivalRate_ * std::exp(-idle / kArrivalTauSeconds);
 }
 
 void
@@ -123,10 +144,10 @@ AutoscalerController::evaluate(sim::Tick now, int active, int warming,
 
     bool capacity_pressure =
         mu > 0.0 &&
-        qhat > config_.targetUtilization * mu *
+        qhat > kTargetUtilization * mu *
                    static_cast<double>(provisioned);
     bool delay_pressure = delay > config_.queueDelayHighSeconds;
-    bool burn_pressure = burn_rate >= config_.burnHighThreshold;
+    bool burn_pressure = burn_rate >= kBurnHighThreshold;
 
     if (capacity_pressure || delay_pressure || burn_pressure)
         lastPressure_ = now;
@@ -177,10 +198,10 @@ AutoscalerController::evaluate(sim::Tick now, int active, int warming,
     }
 
     bool relief =
-        burn_rate <= config_.burnLowThreshold &&
+        burn_rate <= kBurnLowThreshold &&
         delay <= config_.queueDelayLowSeconds &&
         (mu <= 0.0 ||
-         qhat < config_.scaleInUtilization * mu *
+         qhat < kScaleInUtilization * mu *
                     static_cast<double>(provisioned - 1));
     bool in_cooled =
         elapsedSeconds(now, lastPressure_) >=
@@ -263,7 +284,7 @@ AdmissionController::recordCompletion(sim::Tick now)
     if (dt <= 0.0)
         return;
     double inst = 1.0 / dt;
-    double a = std::exp(-dt / config_.arrivalTauSeconds);
+    double a = std::exp(-dt / kArrivalTauSeconds);
     completionRate_ = a * completionRate_ + (1.0 - a) * inst;
 }
 
@@ -296,12 +317,10 @@ AdmissionController::admit(std::size_t queue_depth, int active,
                            double deadline_budget_seconds, sim::Tick now)
 {
     ++decisions_;
-    double budget =
-        deadline_budget_seconds > 0.0
-            ? deadline_budget_seconds * config_.admissionDeadlineFraction
-            : config_.admissionMaxDelaySeconds;
-    if (budget <= 0.0)
+    if (deadline_budget_seconds <= 0.0)
         return true;
+    const double budget =
+        deadline_budget_seconds * kAdmissionDeadlineFraction;
     if (projectedDelaySeconds(queue_depth, active, now) > budget) {
         ++rejects_;
         return false;

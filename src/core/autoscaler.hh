@@ -66,19 +66,14 @@ struct AutoscalerConfig
     int maxNodes = 4;
 
     // --- Predictive scale-out signal -----------------------------
-    /** Time constant of the arrival-rate EWMA, seconds. */
-    double arrivalTauSeconds = 20.0;
     /**
      * Sustainable per-node service rate, requests/s, sized offline
      * (e.g. from bench/fig14_qps_sweep). Enables the capacity term:
-     * scale out when predicted arrivals exceed targetUtilization x
+     * scale out when predicted arrivals exceed kTargetUtilization x
      * nodeServiceQps x provisioned nodes. 0 disables the term; the
      * controller then reacts to queue delay and burn rate only.
      */
     double nodeServiceQps = 0.0;
-    /** Fraction of provisioned capacity predicted demand may use
-     *  before the capacity term signals pressure. */
-    double targetUtilization = 0.75;
     /** Queue-delay quantile tracked by the P² estimator (0..1). */
     double queueDelayQuantile = 0.95;
     /** Observations the estimator needs before it may signal. */
@@ -87,10 +82,6 @@ struct AutoscalerConfig
     double queueDelayHighSeconds = 8.0;
     /** Scale in only when the delay percentile is below this, s. */
     double queueDelayLowSeconds = 1.0;
-    /** Scale out when any SLO burn rate reaches this multiple. */
-    double burnHighThreshold = 1.5;
-    /** Scale in only when the burn rate is below this multiple. */
-    double burnLowThreshold = 0.75;
 
     // --- Hysteresis ----------------------------------------------
     /** Minimum time between consecutive scaling decisions, s. */
@@ -100,37 +91,10 @@ struct AutoscalerConfig
      * (and at least this long since the last scaling decision), s.
      */
     double scaleInCooldownSeconds = 45.0;
-    /** Scale in only when predicted demand still fits in one fewer
-     *  node at this utilization (must sit below targetUtilization,
-     *  or the controller would flap). */
-    double scaleInUtilization = 0.5;
-
-    // --- Node warm-up --------------------------------------------
-    /** Fixed instance boot time before weights start loading, s. */
-    double nodeBootSeconds = 4.0;
-    /**
-     * Host->GPU bandwidth feeding the model-weight load, bytes/s per
-     * GPU. 0 = use NodeSpec::hostOffloadBandwidth (PCIe).
-     */
-    double weightLoadBandwidth = 0.0;
-
-    // --- Scale-in drain ------------------------------------------
-    /** Drain window before leftovers live-migrate, seconds. */
-    double drainDeadlineSeconds = 5.0;
-
-    // --- Predictive admission control ----------------------------
-    /** Master switch (only active while the autoscaler is enabled). */
-    bool admissionControl = true;
-    /**
-     * Fraction of a request's remaining deadline the projected queue
-     * delay may consume before reject-fast (the rest is reserved for
-     * actual service time).
-     */
-    double admissionDeadlineFraction = 0.5;
-    /** Projected-delay bound for deadline-less requests, seconds
-     *  (0 = always admit them). */
-    double admissionMaxDelaySeconds = 0.0;
 };
+
+/** Fixed instance boot time before weights start loading, s. */
+inline constexpr double kNodeBootSeconds = 4.0;
 
 /** What the controller wants done with the fleet. */
 enum class ScaleDecision
@@ -144,12 +108,11 @@ std::string_view scaleDecisionName(ScaleDecision decision);
 
 /**
  * Simulated node warm-up: instance boot plus loading the (tensor-
- * parallel sharded) model weights onto every GPU over the host link.
- * Shards load in parallel, so the transfer term is the per-GPU shard
- * over one link's bandwidth.
+ * parallel sharded) model weights onto every GPU over the host link
+ * (NodeSpec::hostOffloadBandwidth, PCIe). Shards load in parallel, so
+ * the transfer term is the per-GPU shard over one link's bandwidth.
  */
-double nodeWarmupSeconds(const AutoscalerConfig &config,
-                         const llm::ModelSpec &model,
+double nodeWarmupSeconds(const llm::ModelSpec &model,
                          const llm::NodeSpec &node);
 
 /**
@@ -267,8 +230,8 @@ class AdmissionController
 
     /**
      * Admit or reject-fast. @p deadline_budget_seconds is the
-     * request's *remaining* deadline (<= 0: deadline-less, gated by
-     * admissionMaxDelaySeconds instead, 0 meaning always admit).
+     * request's *remaining* deadline (<= 0: deadline-less, always
+     * admitted).
      */
     bool admit(std::size_t queue_depth, int active,
                double deadline_budget_seconds, sim::Tick now);

@@ -12,6 +12,26 @@ namespace agentsim::core
 namespace
 {
 
+/** KV utilization above which pressure is signalled. */
+constexpr double kKvHighWatermark = 0.90;
+/** KV utilization below which relief is signalled. */
+constexpr double kKvLowWatermark = 0.65;
+/** SLO burn rate above which pressure is signalled. */
+constexpr double kBurnHighThreshold = 1.5;
+/** SLO burn rate below which relief is signalled. */
+constexpr double kBurnLowThreshold = 0.75;
+/** Dwell time between level changes, seconds (hysteresis). */
+constexpr double kHoldSeconds = 4.0;
+/** Highest level the controller may reach. */
+constexpr int kMaxLevel = 2;
+
+/** Level >= 1 caps: LATS children per expansion. */
+constexpr int kTrimLatsChildren = 2;
+/** Level >= 1 caps: self-consistency samples. */
+constexpr int kTrimScSamples = 2;
+/** Level >= 1 caps: reflection retries. */
+constexpr int kTrimMaxReflections = 1;
+
 /** Cheaper workflow with comparable task coverage, for level 2. */
 agents::AgentKind
 downgraded(agents::AgentKind kind)
@@ -35,17 +55,6 @@ downgraded(agents::AgentKind kind)
 }
 
 } // namespace
-
-BrownoutController::BrownoutController(const BrownoutConfig &config)
-    : config_(config)
-{
-    AGENTSIM_ASSERT(config_.kvLowWatermark <= config_.kvHighWatermark,
-                    "brownout KV watermarks inverted");
-    AGENTSIM_ASSERT(config_.burnLowThreshold <= config_.burnHighThreshold,
-                    "brownout burn thresholds inverted");
-    AGENTSIM_ASSERT(config_.maxLevel >= 1 && config_.maxLevel <= 2,
-                    "brownout maxLevel must be 1 or 2");
-}
 
 void
 BrownoutController::setLevel(sim::Tick now, int level)
@@ -77,15 +86,12 @@ void
 BrownoutController::observe(sim::Tick now, double kv_utilization,
                             double burn_rate)
 {
-    if (!config_.enabled)
-        return;
-    const bool dwelt =
-        sim::toSeconds(now - lastChange_) >= config_.holdSeconds;
-    const bool pressure = kv_utilization >= config_.kvHighWatermark ||
-                          burn_rate >= config_.burnHighThreshold;
-    const bool relief = kv_utilization <= config_.kvLowWatermark &&
-                        burn_rate <= config_.burnLowThreshold;
-    if (pressure && dwelt && level_ < config_.maxLevel)
+    const bool dwelt = sim::toSeconds(now - lastChange_) >= kHoldSeconds;
+    const bool pressure = kv_utilization >= kKvHighWatermark ||
+                          burn_rate >= kBurnHighThreshold;
+    const bool relief = kv_utilization <= kKvLowWatermark &&
+                        burn_rate <= kBurnLowThreshold;
+    if (pressure && dwelt && level_ < kMaxLevel)
         setLevel(now, level_ + 1);
     else if (relief && dwelt && level_ > 0)
         setLevel(now, level_ - 1);
@@ -96,19 +102,19 @@ BrownoutController::apply(agents::AgentKind &kind,
                           agents::AgentConfig &config,
                           workload::Benchmark bench)
 {
-    if (!config_.enabled || level_ == 0)
+    if (level_ == 0)
         return false;
     bool changed = false;
-    if (config.latsChildren > config_.trimLatsChildren) {
-        config.latsChildren = config_.trimLatsChildren;
+    if (config.latsChildren > kTrimLatsChildren) {
+        config.latsChildren = kTrimLatsChildren;
         changed = true;
     }
-    if (config.scSamples > config_.trimScSamples) {
-        config.scSamples = config_.trimScSamples;
+    if (config.scSamples > kTrimScSamples) {
+        config.scSamples = kTrimScSamples;
         changed = true;
     }
-    if (config.maxReflections > config_.trimMaxReflections) {
-        config.maxReflections = config_.trimMaxReflections;
+    if (config.maxReflections > kTrimMaxReflections) {
+        config.maxReflections = kTrimMaxReflections;
         changed = true;
     }
     // Only deadline-less rollouts lose their workflow: a request that

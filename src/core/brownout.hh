@@ -37,43 +37,16 @@
 namespace agentsim::core
 {
 
-/** Brownout tuning. Disabled by default (opt-in, like fault
- *  injection). */
-struct BrownoutConfig
-{
-    bool enabled = false;
-
-    /** KV utilization above which pressure is signalled. */
-    double kvHighWatermark = 0.90;
-    /** KV utilization below which relief is signalled. */
-    double kvLowWatermark = 0.65;
-    /** SLO burn rate above which pressure is signalled. */
-    double burnHighThreshold = 1.5;
-    /** SLO burn rate below which relief is signalled. */
-    double burnLowThreshold = 0.75;
-    /** Dwell time between level changes, seconds (hysteresis). */
-    double holdSeconds = 4.0;
-    /** Highest level the controller may reach (1 or 2). */
-    int maxLevel = 2;
-
-    /** Level >= 1 caps: LATS children per expansion. */
-    int trimLatsChildren = 2;
-    /** Level >= 1 caps: self-consistency samples. */
-    int trimScSamples = 2;
-    /** Level >= 1 caps: reflection retries. */
-    int trimMaxReflections = 1;
-};
-
 /**
  * The controller. observe() is fed by a periodic monitor; apply() is
  * called by the dispatch path on every agent rollout about to start.
- * Single-threaded, owned by runCluster.
+ * Single-threaded, owned by runCluster, which builds one only when
+ * ClusterConfig::brownout is set. Watermarks, dwell time and trims
+ * are constants in brownout.cc.
  */
 class BrownoutController
 {
   public:
-    explicit BrownoutController(const BrownoutConfig &config);
-
     /** Emit level changes as trace instants (kResilience, tid 0). */
     void attachTrace(telemetry::TraceSink *sink) { trace_ = sink; }
 
@@ -109,7 +82,6 @@ class BrownoutController
   private:
     void setLevel(sim::Tick now, int level);
 
-    BrownoutConfig config_;
     telemetry::TraceSink *trace_ = nullptr;
     telemetry::FlightRecorder *recorder_ = nullptr;
     int level_ = 0;

@@ -7,6 +7,8 @@
 
 #include "agents/accuracy.hh"
 #include "core/bottleneck_report.hh"
+#include "core/brownout.hh"
+#include "core/health.hh"
 #include "sim/logging.hh"
 #include "workload/token_stream.hh"
 #include "workload/toolset_factory.hh"
@@ -62,6 +64,39 @@ namespace
 
 /** Cadence of the KV-pressure/burn-rate/queue-depth monitor, s. */
 constexpr double kMonitorPeriodSeconds = 1.0;
+
+/** Node-to-node KV transfer bandwidth for live migration and
+ *  checkpoint-resume prefix warming, B/s (the disagg interconnect). */
+constexpr double kMigrationBandwidth = 200e9;
+
+/** Scale-in drain window before leftovers live-migrate, seconds. */
+constexpr double kScaleInDrainSeconds = 5.0;
+
+// Client retry discipline for retryable serving failures (node crash,
+// admission shed): exponential backoff with multiplicative jitter.
+// Each retry re-routes, so after a crash the rollout usually lands on
+// another node, with a cold prefix cache for its workflow.
+
+/** Total tries per rollout, first attempt included. */
+constexpr int kMaxAttempts = 3;
+/** Backoff before retry k is base * 2^(k-1), seconds. */
+constexpr double kBaseBackoffSeconds = 0.5;
+/** Backoff ceiling, seconds. */
+constexpr double kMaxBackoffSeconds = 8.0;
+/** Uniform jitter fraction: sleep *= 1 + U(0, jitter). */
+constexpr double kBackoffJitter = 0.5;
+/** Sleep before re-probing when every node is offline, seconds. */
+constexpr double kAllDownPollSeconds = 0.5;
+
+/** Backoff for retry @p attempt (1-based), before jitter. */
+double
+backoffSeconds(int attempt)
+{
+    double b = kBaseBackoffSeconds;
+    for (int i = 1; i < attempt; ++i)
+        b *= 2;
+    return b < kMaxBackoffSeconds ? b : kMaxBackoffSeconds;
+}
 
 /** One serving node: an engine plus its per-benchmark tool belts. */
 struct Node
@@ -307,7 +342,7 @@ routeWithFailover(const ClusterConfig &config, sim::Simulation &sim,
     int target;
     while ((target = router.pick(spec, sim.now())) < 0) {
         // Every node is down; poll until a restart brings one back.
-        co_await sim::delaySec(sim, config.retry.allDownPollSeconds);
+        co_await sim::delaySec(sim, kAllDownPollSeconds);
     }
     if (prev_node >= 0 && target != prev_node) {
         ++state.result.failovers;
@@ -348,9 +383,8 @@ retryBackoff(const ClusterConfig &config, sim::Simulation &sim,
                                    "backoff", sim.now());
     }
     co_await sim::delaySec(sim,
-                           config.retry.backoffSeconds(attempt) *
-                               (1.0 + rng.uniform(0.0,
-                                                  config.retry.jitter)));
+                           backoffSeconds(attempt) *
+                               (1.0 + rng.uniform(0.0, kBackoffJitter)));
     if (config.spans != nullptr)
         config.spans->end(span, sim.now());
 }
@@ -434,7 +468,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                           spec.agentConfig.llmDeadlineSeconds, state)) {
             if (config.spans != nullptr)
                 config.spans->end(attempt_span, sim.now());
-            if (attempt >= config.retry.maxAttempts) {
+            if (attempt >= kMaxAttempts) {
                 if (state.checkpoints != nullptr)
                     state.checkpoints->erase(index);
                 if (config.spans != nullptr)
@@ -503,7 +537,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 const double wire_seconds =
                     static_cast<double>(chain.size()) *
                     agents::kvBytesPerToken(eng) /
-                    config.migrationBandwidth;
+                    kMigrationBandwidth;
                 const double recompute_seconds =
                     eng.perfModel().prefillSeconds(
                         static_cast<std::int64_t>(chain.size()));
@@ -516,7 +550,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                         const double actual =
                             static_cast<double>(blocks) *
                             static_cast<double>(eng.blockBytes()) /
-                            config.migrationBandwidth;
+                            kMigrationBandwidth;
                         telemetry::SpanRef restore_span;
                         if (config.spans != nullptr) {
                             restore_span = config.spans->child(
@@ -590,7 +624,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 config.spans->end(attempt_span, sim.now());
             router.health.reportFailure(
                 static_cast<std::size_t>(target), sim.now());
-            if (attempt >= config.retry.maxAttempts) {
+            if (attempt >= kMaxAttempts) {
                 if (state.checkpoints != nullptr)
                     state.checkpoints->erase(index);
                 if (config.spans != nullptr)
@@ -795,7 +829,7 @@ clusterChatWorker(const ClusterConfig &config, bool multi_turn,
                 router.health.reportFailure(
                     static_cast<std::size_t>(target), sim.now());
             }
-            if (attempt >= config.retry.maxAttempts) {
+            if (attempt >= kMaxAttempts) {
                 if (config.spans != nullptr)
                     config.spans->finishRequest(root, sim.now(), true);
                 noteFailure(state, sim.now(), false);
@@ -864,7 +898,7 @@ maintainNode(const ClusterConfig &config, sim::Simulation &sim,
         if (target >= 0) {
             nodes[static_cast<std::size_t>(target)]
                 .engine->importRequest(std::move(leftover),
-                                       config.migrationBandwidth);
+                                       kMigrationBandwidth);
         } else {
             // Nowhere to land it: resolve with crash semantics so the
             // client's retry loop takes over.
@@ -931,9 +965,8 @@ scaleOutNode(const ClusterConfig &config, sim::Simulation &sim,
  * and stops being billed once the drain completes.
  */
 sim::Task<void>
-scaleInNode(const ClusterConfig &config, sim::Simulation &sim,
-            std::vector<Node> &nodes, Router &router,
-            std::size_t index, ClusterState &state)
+scaleInNode(sim::Simulation &sim, std::vector<Node> &nodes,
+            Router &router, std::size_t index, ClusterState &state)
 {
     Node &node = nodes[index];
     serving::LlmEngine &eng = *node.engine;
@@ -945,7 +978,7 @@ scaleInNode(const ClusterConfig &config, sim::Simulation &sim,
     }
     --state.activeNodes;
     serving::DrainOutcome outcome = co_await eng.drain(
-        config.autoscaler.drainDeadlineSeconds,
+        kScaleInDrainSeconds,
         /*export_leftovers=*/true);
     if (outcome.crashed) {
         // Crashed mid-drain: the fault injector restarts it later, so
@@ -959,7 +992,7 @@ scaleInNode(const ClusterConfig &config, sim::Simulation &sim,
         if (target >= 0) {
             nodes[static_cast<std::size_t>(target)]
                 .engine->importRequest(std::move(leftover),
-                                       config.migrationBandwidth);
+                                       kMigrationBandwidth);
         } else {
             // Nowhere to land it: crash semantics, client retries.
             eng.abortMigration(std::move(leftover));
@@ -1060,8 +1093,7 @@ clusterMonitor(const ClusterConfig &config, sim::Simulation &sim,
             state.scaleOps.push_back(scaleOutNode(
                 config, sim, nodes, router,
                 static_cast<std::size_t>(idx),
-                nodeWarmupSeconds(config.autoscaler,
-                                  config.engineConfig.model,
+                nodeWarmupSeconds(config.engineConfig.model,
                                   config.engineConfig.node),
                 state));
         } else if (decision == ScaleDecision::ScaleIn) {
@@ -1069,8 +1101,8 @@ clusterMonitor(const ClusterConfig &config, sim::Simulation &sim,
             if (victim >= 0) {
                 state.scaleInInFlight = true;
                 state.scaleOps.push_back(scaleInNode(
-                    config, sim, nodes, router,
-                    static_cast<std::size_t>(victim), state));
+                    sim, nodes, router, static_cast<std::size_t>(victim),
+                    state));
             }
         }
     }
@@ -1367,13 +1399,32 @@ validateClusterConfig(const ClusterConfig &config)
         AGENTSIM_FATAL("cluster config: qps must be > 0");
     if (config.numRequests <= 0)
         AGENTSIM_FATAL("cluster config: numRequests must be >= 1");
-    if (config.retry.maxAttempts < 1)
-        AGENTSIM_FATAL("cluster config: retry.maxAttempts must be >= 1");
-    if (!(config.migrationBandwidth > 0))
-        AGENTSIM_FATAL("cluster config: migration bandwidth must be "
-                       "> 0");
     if (config.chatDeadlineSeconds < 0)
         AGENTSIM_FATAL("cluster config: negative chat deadline");
+
+    // Malformed fault and maintenance settings would otherwise die
+    // mid-run: on Rng::exponential's assert after the first crash, or
+    // on scheduling an event in the past.
+    const sim::FaultConfig &f = config.faults;
+    if (f.nodeMtbfSeconds < 0 || f.stallMtbfSeconds < 0)
+        AGENTSIM_FATAL("faults: negative MTBF");
+    if (f.nodeMtbfSeconds > 0 && !(f.nodeRestartMeanSeconds > 0))
+        AGENTSIM_FATAL("faults: node crashes need a mean restart time "
+                       "> 0");
+    if (f.stallMtbfSeconds > 0 && !(f.stallMeanSeconds > 0))
+        AGENTSIM_FATAL("faults: engine stalls need a mean stall length "
+                       "> 0");
+    if (!(f.toolFailureProb >= 0 && f.toolFailureProb <= 1) ||
+        !(f.toolSlowdownProb >= 0 && f.toolSlowdownProb <= 1)) {
+        AGENTSIM_FATAL("faults: tool fault probability outside [0, 1]");
+    }
+    const sim::MaintenanceConfig &m = config.maintenance;
+    if (m.periodSeconds < 0)
+        AGENTSIM_FATAL("maintenance: negative period");
+    if (m.downtimeSeconds < 0)
+        AGENTSIM_FATAL("maintenance: negative downtime");
+    if (m.drainDeadlineSeconds < 0)
+        AGENTSIM_FATAL("maintenance: negative drain deadline");
 
     const serving::EngineConfig &eng = config.engineConfig;
     if (eng.hostCacheBlocks < 0)
@@ -1412,20 +1463,6 @@ validateClusterConfig(const ClusterConfig &config)
         }
     }
 
-    const BrownoutConfig &b = config.brownout;
-    if (b.enabled) {
-        if (b.kvLowWatermark >= b.kvHighWatermark)
-            AGENTSIM_FATAL("brownout: KV watermarks inverted "
-                           "(low %g >= high %g)",
-                           b.kvLowWatermark, b.kvHighWatermark);
-        if (b.burnLowThreshold >= b.burnHighThreshold)
-            AGENTSIM_FATAL("brownout: burn thresholds inverted");
-        if (b.maxLevel < 1 || b.maxLevel > 2)
-            AGENTSIM_FATAL("brownout: maxLevel must be 1 or 2");
-        if (b.holdSeconds < 0)
-            AGENTSIM_FATAL("brownout: negative dwell time");
-    }
-
     const AutoscalerConfig &a = config.autoscaler;
     if (a.enabled) {
         if (a.minNodes < 1) {
@@ -1442,9 +1479,6 @@ validateClusterConfig(const ClusterConfig &config)
                            "[minNodes %d, maxNodes %d]",
                            config.numNodes, a.minNodes, a.maxNodes);
         }
-        if (!(a.targetUtilization > 0) || a.targetUtilization > 1)
-            AGENTSIM_FATAL("autoscaler: target utilization outside "
-                           "(0, 1]");
         if (!(a.queueDelayQuantile > 0) || a.queueDelayQuantile >= 1)
             AGENTSIM_FATAL("autoscaler: queue-delay quantile outside "
                            "(0, 1)");
@@ -1453,47 +1487,15 @@ validateClusterConfig(const ClusterConfig &config)
         if (a.queueDelayLowSeconds > a.queueDelayHighSeconds)
             AGENTSIM_FATAL("autoscaler: queue-delay thresholds "
                            "inverted");
-        if (a.burnLowThreshold > a.burnHighThreshold)
-            AGENTSIM_FATAL("autoscaler: burn thresholds inverted");
         if (a.nodeServiceQps < 0)
             AGENTSIM_FATAL("autoscaler: negative node service rate");
-        if (a.nodeServiceQps > 0 &&
-            a.scaleInUtilization >= a.targetUtilization) {
-            AGENTSIM_FATAL("autoscaler: scale-in utilization %g must "
-                           "sit below target %g (hysteresis)",
-                           a.scaleInUtilization, a.targetUtilization);
-        }
         if (a.scaleOutCooldownSeconds < 0 ||
             a.scaleInCooldownSeconds < 0) {
             AGENTSIM_FATAL("autoscaler: negative cooldown");
         }
-        if (a.nodeBootSeconds < 0 || a.weightLoadBandwidth < 0)
-            AGENTSIM_FATAL("autoscaler: negative warm-up parameter");
-        if (a.drainDeadlineSeconds < 0)
-            AGENTSIM_FATAL("autoscaler: negative drain deadline");
-        if (!(a.admissionDeadlineFraction > 0) ||
-            a.admissionDeadlineFraction > 1) {
-            AGENTSIM_FATAL("autoscaler: admission deadline fraction "
-                           "outside (0, 1]");
-        }
-        if (a.admissionMaxDelaySeconds < 0)
-            AGENTSIM_FATAL("autoscaler: negative admission delay cap");
-        if (!(a.arrivalTauSeconds > 0))
-            AGENTSIM_FATAL("autoscaler: arrival EWMA tau must be > 0");
     }
-    if (config.checkpoint.enabled) {
-        const auto &ck = config.checkpoint;
-        if (ck.everyIterations < 1)
-            AGENTSIM_FATAL("checkpoint: everyIterations must be >= 1");
-        if (ck.minIterations < 1)
-            AGENTSIM_FATAL("checkpoint: minIterations must be >= 1");
-        if (ck.admitProb < 0 || ck.admitProb > 1)
-            AGENTSIM_FATAL("checkpoint: admitProb outside [0, 1]");
-        if (!(ck.wireBandwidth > 0))
-            AGENTSIM_FATAL("checkpoint: wire bandwidth must be > 0");
-        if (ck.journalBytes < 0)
-            AGENTSIM_FATAL("checkpoint: negative journal overhead");
-    }
+    if (config.checkpoint.enabled && config.checkpoint.everyIterations < 1)
+        AGENTSIM_FATAL("checkpoint: everyIterations must be >= 1");
 }
 
 ClusterResult
@@ -1561,12 +1563,12 @@ detail::runRequestPath(const ClusterConfig &config,
     // Health + breakers are always wired (with no failures every
     // breaker stays Closed and routing degenerates to the pure
     // availability-based behaviour); brownout is opt-in.
-    HealthRegistry health(config.health, nodes.size());
+    HealthRegistry health(nodes.size());
     if (config.traceSink != nullptr)
         health.attachTrace(config.traceSink);
     std::optional<BrownoutController> brownout;
-    if (config.brownout.enabled) {
-        brownout.emplace(config.brownout);
+    if (config.brownout) {
+        brownout.emplace();
         if (config.traceSink != nullptr)
             brownout->attachTrace(config.traceSink);
     }
@@ -1584,7 +1586,7 @@ detail::runRequestPath(const ClusterConfig &config,
     // pre-checkpoint builds).
     std::optional<serving::CheckpointStore> checkpoints;
     if (config.checkpoint.enabled) {
-        checkpoints.emplace(config.checkpoint, config.seed);
+        checkpoints.emplace(config.checkpoint);
         state.checkpoints = &*checkpoints;
     }
 
@@ -1595,10 +1597,8 @@ detail::runRequestPath(const ClusterConfig &config,
         if (config.traceSink != nullptr)
             autoscaler->attachTrace(config.traceSink);
         state.autoscaler = &*autoscaler;
-        if (config.autoscaler.admissionControl) {
-            admission.emplace(config.autoscaler);
-            state.admission = &*admission;
-        }
+        admission.emplace(config.autoscaler);
+        state.admission = &*admission;
     }
 
     // Flight-recorder wiring: tee trace events and span completions
@@ -1650,9 +1650,7 @@ detail::runRequestPath(const ClusterConfig &config,
     if (config.faults.toolFaultsEnabled()) {
         tools::FaultProfile profile;
         profile.failureProb = config.faults.toolFailureProb;
-        profile.failureSeconds = config.faults.toolFailureSeconds;
         profile.slowdownProb = config.faults.toolSlowdownProb;
-        profile.slowdownFactor = config.faults.toolSlowdownFactor;
         profile.seed = config.faults.seed;
         for (auto &node : nodes) {
             for (auto &set : node.toolsByBenchmark) {
@@ -1674,7 +1672,7 @@ detail::runRequestPath(const ClusterConfig &config,
     }
 
     std::optional<sim::Task<void>> monitor;
-    if (config.brownout.enabled || config.maintenance.enabled() ||
+    if (config.brownout || config.maintenance.enabled() ||
         autoscaled) {
         monitor.emplace(clusterMonitor(config, sim, nodes, router,
                                        health,

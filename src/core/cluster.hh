@@ -26,8 +26,6 @@
 
 #include "agents/workflows.hh"
 #include "core/autoscaler.hh"
-#include "core/brownout.hh"
-#include "core/health.hh"
 #include "serving/checkpoint.hh"
 #include "serving/cost.hh"
 #include "serving/engine.hh"
@@ -64,36 +62,6 @@ struct WorkloadSpec
     agents::AgentConfig agentConfig;
     /** Relative sampling weight (> 0). */
     double weight = 1.0;
-};
-
-/**
- * Client-side retry discipline for retryable serving failures (node
- * crash, admission shed). Exponential backoff with multiplicative
- * jitter; each retry re-routes, so after a crash the rollout usually
- * lands on another node — with a cold prefix cache for its workflow.
- */
-struct RetryPolicy
-{
-    /** Total tries per rollout, first attempt included. */
-    int maxAttempts = 3;
-    /** Backoff before retry k is base * 2^(k-1), seconds. */
-    double baseBackoffSeconds = 0.5;
-    /** Backoff ceiling, seconds. */
-    double maxBackoffSeconds = 8.0;
-    /** Uniform jitter fraction: sleep *= 1 + U(0, jitter). */
-    double jitter = 0.5;
-    /** Sleep before re-probing when every node is offline, seconds. */
-    double allDownPollSeconds = 0.5;
-
-    /** Backoff for retry @p attempt (1-based), before jitter. */
-    double
-    backoffSeconds(int attempt) const
-    {
-        double b = baseBackoffSeconds;
-        for (int i = 1; i < attempt; ++i)
-            b *= 2;
-        return b < maxBackoffSeconds ? b : maxBackoffSeconds;
-    }
 };
 
 /**
@@ -151,10 +119,8 @@ struct ClusterConfig
     sim::FaultConfig faults;
     /** Planned churn: rolling restarts through crash or drain. */
     sim::MaintenanceConfig maintenance;
-    /** Per-node health EWMAs + circuit breakers for routing. */
-    HealthConfig health;
     /** Overload brownout (off by default). */
-    BrownoutConfig brownout;
+    bool brownout = false;
     /**
      * Elastic capacity + predictive admission control (off by
      * default). When enabled, `numNodes` is the *initial* fleet and
@@ -163,11 +129,6 @@ struct ClusterConfig
      * [minNodes, maxNodes].
      */
     AutoscalerConfig autoscaler;
-    /** Node-to-node KV transfer bandwidth for live migration, B/s
-     *  (defaults to the disagg interconnect assumption). */
-    double migrationBandwidth = 200e9;
-    /** Client retry discipline for retryable failures. */
-    RetryPolicy retry;
     /**
      * Episode checkpointing for agent rollouts (off by default).
      * When enabled, workflows journal resumable snapshots at
@@ -372,8 +333,8 @@ struct ClusterResult
 /**
  * Sanity-check a configuration before the run starts, with a fatal
  * for every nonsensical combination (minNodes > maxNodes, autoscaler
- * with a 0-node floor, inverted brownout watermarks, a burst window
- * that overruns its period, ...) — a clear message up front instead
+ * with a 0-node floor, a burst window that overruns its period, a
+ * negative maintenance downtime, ...) — a clear message up front instead
  * of undefined behaviour mid-run. runCluster() calls this first;
  * exposed so tests and tools can validate configs directly.
  */

@@ -9,6 +9,22 @@
 namespace agentsim::core
 {
 
+namespace
+{
+
+/** Time constant of the exponential outcome/queue decay, s. */
+constexpr double kHealthEwmaTauSeconds = 10.0;
+/** Decayed failure fraction at which a Closed breaker opens. */
+constexpr double kFailureRateOpenThreshold = 0.6;
+/** Minimum decayed event weight before opening (debounce). */
+constexpr double kMinEventsToOpen = 4.0;
+/** Cool-down before an Open breaker half-opens, seconds. */
+constexpr double kOpenSeconds = 4.0;
+/** Successful probes needed to close a HalfOpen breaker. */
+constexpr int kHalfOpenSuccesses = 2;
+
+} // namespace
+
 std::string_view
 breakerStateName(BreakerState state)
 {
@@ -26,9 +42,9 @@ breakerStateName(BreakerState state)
 double
 NodeHealth::decayFactor(sim::Tick now, sim::Tick since) const
 {
-    if (now <= since || tau_ <= 0)
+    if (now <= since)
         return 1.0;
-    return std::exp(-sim::toSeconds(now - since) / tau_);
+    return std::exp(-sim::toSeconds(now - since) / kHealthEwmaTauSeconds);
 }
 
 void
@@ -76,13 +92,9 @@ NodeHealth::reset()
     total_ = 0.0;
 }
 
-HealthRegistry::HealthRegistry(const HealthConfig &config,
-                               std::size_t num_nodes)
-    : config_(config)
+HealthRegistry::HealthRegistry(std::size_t num_nodes)
+    : entries_(num_nodes)
 {
-    entries_.reserve(num_nodes);
-    for (std::size_t i = 0; i < num_nodes; ++i)
-        entries_.emplace_back(config_.ewmaTauSeconds);
 }
 
 void
@@ -131,14 +143,12 @@ HealthRegistry::transition(std::size_t node, BreakerState to,
 bool
 HealthRegistry::allows(std::size_t node, sim::Tick now)
 {
-    if (!config_.breakerEnabled)
-        return true;
     Entry &e = entries_[node];
     switch (e.state) {
       case BreakerState::Closed:
         return true;
       case BreakerState::Open:
-        if (sim::toSeconds(now - e.openedAt) >= config_.openSeconds) {
+        if (sim::toSeconds(now - e.openedAt) >= kOpenSeconds) {
             transition(node, BreakerState::HalfOpen, now);
             return true;
         }
@@ -154,10 +164,8 @@ HealthRegistry::reportSuccess(std::size_t node, sim::Tick now)
 {
     Entry &e = entries_[node];
     e.health.recordOutcome(now, false);
-    if (!config_.breakerEnabled)
-        return;
     if (e.state == BreakerState::HalfOpen &&
-        ++e.probeSuccesses >= config_.halfOpenSuccesses) {
+        ++e.probeSuccesses >= kHalfOpenSuccesses) {
         transition(node, BreakerState::Closed, now);
     }
 }
@@ -167,13 +175,10 @@ HealthRegistry::reportFailure(std::size_t node, sim::Tick now)
 {
     Entry &e = entries_[node];
     e.health.recordOutcome(now, true);
-    if (!config_.breakerEnabled)
-        return;
     switch (e.state) {
       case BreakerState::Closed:
-        if (e.health.eventWeight(now) >= config_.minEventsToOpen &&
-            e.health.failureRate(now) >=
-                config_.failureRateOpenThreshold) {
+        if (e.health.eventWeight(now) >= kMinEventsToOpen &&
+            e.health.failureRate(now) >= kFailureRateOpenThreshold) {
             transition(node, BreakerState::Open, now);
         }
         break;
@@ -199,8 +204,7 @@ HealthRegistry::markProvisioned(std::size_t node, sim::Tick now)
     Entry &e = entries_[node];
     e.health.reset();
     e.probeSuccesses = 0;
-    if (config_.breakerEnabled &&
-        e.state != BreakerState::HalfOpen) {
+    if (e.state != BreakerState::HalfOpen) {
         // Bypass transition()'s Open bookkeeping: this is a fresh
         // node earning trust, not a sick one cooling down.
         e.state = BreakerState::HalfOpen;

@@ -41,35 +41,15 @@ enum class BreakerState
 
 std::string_view breakerStateName(BreakerState state);
 
-/** Health/breaker tuning. Defaults are deliberately conservative:
- *  a breaker opens only on a sustained failure majority. */
-struct HealthConfig
-{
-    /** Master switch; off restores pure online()-based routing. */
-    bool breakerEnabled = true;
-    /** Time constant of the exponential outcome/queue decay, s. */
-    double ewmaTauSeconds = 10.0;
-    /** Decayed failure fraction at which a Closed breaker opens. */
-    double failureRateOpenThreshold = 0.6;
-    /** Minimum decayed event weight before opening (debounce). */
-    double minEventsToOpen = 4.0;
-    /** Cool-down before an Open breaker half-opens, seconds. */
-    double openSeconds = 4.0;
-    /** Successful probes needed to close a HalfOpen breaker. */
-    int halfOpenSuccesses = 2;
-};
-
 /**
  * Time-decayed outcome and queue-depth EWMAs of one node. Irregular
  * samples: every update first decays the accumulated weight by
- * exp(-dt/tau), so the failure rate is dominated by the last ~tau
- * seconds of traffic.
+ * exp(-dt/tau) with tau = kHealthEwmaTauSeconds (health.cc), so the
+ * failure rate is dominated by the last ~tau seconds of traffic.
  */
 class NodeHealth
 {
   public:
-    explicit NodeHealth(double tau_seconds) : tau_(tau_seconds) {}
-
     void recordOutcome(sim::Tick now, bool failure);
     void recordQueueDepth(sim::Tick now, double depth);
 
@@ -85,7 +65,6 @@ class NodeHealth
   private:
     double decayFactor(sim::Tick now, sim::Tick since) const;
 
-    double tau_ = 10.0;
     double failures_ = 0.0;
     double total_ = 0.0;
     sim::Tick lastOutcome_ = 0;
@@ -95,12 +74,14 @@ class NodeHealth
 
 /**
  * Health + breaker state for a fleet of nodes. Single-threaded, owned
- * by runCluster; the router reads, the workers write.
+ * by runCluster; the router reads, the workers write. The breaker
+ * constants in health.cc are deliberately conservative: a breaker
+ * opens only on a sustained failure majority.
  */
 class HealthRegistry
 {
   public:
-    HealthRegistry(const HealthConfig &config, std::size_t num_nodes);
+    explicit HealthRegistry(std::size_t num_nodes);
 
     /** Emit breaker transitions as trace instants (kResilience). */
     void attachTrace(telemetry::TraceSink *sink) { trace_ = sink; }
@@ -115,7 +96,7 @@ class HealthRegistry
     /**
      * May the router send traffic to @p node now? Transitions an Open
      * breaker to HalfOpen once its cool-down elapses (every HalfOpen
-     * admission is a probe). Always true when breakers are disabled.
+     * admission is a probe).
      */
     bool allows(std::size_t node, sim::Tick now);
 
@@ -128,9 +109,9 @@ class HealthRegistry
 
     /**
      * A freshly provisioned node (autoscaler scale-out) enters the
-     * fleet: its history is wiped and — when breakers are enabled —
-     * it starts HalfOpen, earning trust through probe admissions
-     * rather than receiving a full traffic share cold.
+     * fleet: its history is wiped and it starts HalfOpen, earning
+     * trust through probe admissions rather than receiving a full
+     * traffic share cold.
      */
     void markProvisioned(std::size_t node, sim::Tick now);
 
@@ -154,13 +135,10 @@ class HealthRegistry
         BreakerState state = BreakerState::Closed;
         sim::Tick openedAt = 0;
         int probeSuccesses = 0;
-
-        explicit Entry(double tau) : health(tau) {}
     };
 
     void transition(std::size_t node, BreakerState to, sim::Tick now);
 
-    HealthConfig config_;
     std::vector<Entry> entries_;
     telemetry::TraceSink *trace_ = nullptr;
     telemetry::FlightRecorder *recorder_ = nullptr;

@@ -20,10 +20,6 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
         AGENTSIM_FATAL("negative host cache size");
     if (config_.nvmeCacheBlocks < 0)
         AGENTSIM_FATAL("negative NVMe cache size");
-    if (config_.dramAdmitProb < 0.0 || config_.dramAdmitProb > 1.0)
-        AGENTSIM_FATAL("dramAdmitProb outside [0, 1]");
-    if (config_.nvmeAdmitProb < 0.0 || config_.nvmeAdmitProb > 1.0)
-        AGENTSIM_FATAL("nvmeAdmitProb outside [0, 1]");
 
     blocks_.resize(static_cast<std::size_t>(config_.numBlocks));
     freeList_.reserve(blocks_.size());
@@ -32,20 +28,7 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
         freeList_.push_back(static_cast<BlockId>(i));
 
     tiers_[0].capacity = config_.hostCacheBlocks;
-    tiers_[0].admitProb = config_.dramAdmitProb;
-    tiers_[0].mode = config_.dramMode;
     tiers_[1].capacity = config_.nvmeCacheBlocks;
-    tiers_[1].admitProb = config_.nvmeAdmitProb;
-    tiers_[1].mode = config_.nvmeMode;
-
-    // The migration stream exists only when a probabilistic decision
-    // can actually occur; deterministic configs never construct (or
-    // advance) it, so they stay bit-identical to a build without it.
-    const bool probabilistic =
-        (tiers_[0].enabled() && tiers_[0].admitProb < 1.0) ||
-        (tiers_[1].enabled() && tiers_[1].admitProb < 1.0);
-    if (probabilistic)
-        tierRng_.emplace(config_.seed, "kv.tier");
 }
 
 std::uint64_t
@@ -408,8 +391,7 @@ BlockManager::parkChain(std::span<const TokenId> tokens)
         AGENTSIM_ASSERT(b.lruKey != 0, "idle cached block not on LRU");
         evictable_.erase(b.lruKey);
         cacheTable_.erase(entry);
-        // Deliberate demotion bypasses the probabilistic filter.
-        demoteFromGpu(b.hash, /*forced=*/true);
+        demote(0, b.hash);
         freeList_.push_back(id);
         b = Block{};
         ++parked;
@@ -479,8 +461,8 @@ BlockManager::acquireFreshBlock()
     if (b.inTable) {
         cacheTable_.erase(b.hash);
         // The contents demote into the spill hierarchy instead of
-        // vanishing (subject to probabilistic admission).
-        demoteFromGpu(b.hash, /*forced=*/false);
+        // vanishing.
+        demote(0, b.hash);
     }
     ++stats_.evictions;
     b = Block{};
@@ -552,32 +534,14 @@ BlockManager::tierStats(std::size_t index)
     return index == 0 ? stats_.dram : stats_.nvme;
 }
 
-bool
-BlockManager::tierAdmits(std::size_t index)
-{
-    const double p = tiers_[index].admitProb;
-    // Degenerate probabilities never draw, so configs without real
-    // randomness leave the stream untouched (and unconstructed).
-    if (p >= 1.0)
-        return true;
-    if (p <= 0.0)
-        return false;
-    AGENTSIM_ASSERT(tierRng_.has_value(),
-                    "probabilistic tier without migration stream");
-    return tierRng_->bernoulli(p);
-}
-
 void
-BlockManager::demoteFromGpu(std::uint64_t hash, bool forced)
+BlockManager::demote(std::size_t first_tier, std::uint64_t hash)
 {
-    for (std::size_t i = 0; i < kNumSpillTiers; ++i) {
-        if (!tiers_[i].enabled())
-            continue;
-        if (forced || tierAdmits(i))
+    for (std::size_t i = first_tier; i < kNumSpillTiers; ++i) {
+        if (tiers_[i].enabled()) {
             spillToTier(i, hash);
-        else
-            ++tierStats(i).rejectedBlocks;
-        return;
+            return;
+        }
     }
 }
 
@@ -595,23 +559,14 @@ BlockManager::spillToTier(std::size_t index, std::uint64_t hash)
     }
     if (static_cast<std::int64_t>(tier.entries.size()) >=
         tier.capacity) {
-        // Capacity victim sinks into the next enabled tier (through
-        // its own admission filter) or falls out of the hierarchy.
+        // Capacity victim sinks into the next enabled tier or falls
+        // out of the hierarchy.
         auto oldest = tier.lru.begin();
         const std::uint64_t victim = oldest->second;
         tier.entries.erase(victim);
         tier.lru.erase(oldest);
         ++tierStats(index).evictedBlocks;
-        for (std::size_t next = index + 1; next < kNumSpillTiers;
-             ++next) {
-            if (!tiers_[next].enabled())
-                continue;
-            if (tierAdmits(next))
-                spillToTier(next, victim);
-            else
-                ++tierStats(next).rejectedBlocks;
-            break;
-        }
+        demote(index + 1, victim);
     }
     const std::uint64_t key = lruCounter_++;
     tier.entries.emplace(hash, key);
@@ -626,19 +581,11 @@ BlockManager::noteTierRestore(std::size_t index, std::uint64_t hash)
     auto it = tier.entries.find(hash);
     if (it == tier.entries.end())
         return; // pushed out by demotions earlier in this commit
-    if (tier.mode == TierMode::Exclusive) {
-        // Reclaim: the contents now live on the GPU; keeping the tier
-        // copy would waste capacity on a duplicate whose recency
-        // never updates (the pre-tier design's exact bug).
-        tier.lru.erase(it->second);
-        tier.entries.erase(it);
-    } else {
-        // Inclusive: keep the copy, but mark it as just-used so cold
-        // entries are evicted before it.
-        tier.lru.erase(it->second);
-        it->second = lruCounter_++;
-        tier.lru.emplace(it->second, hash);
-    }
+    // Reclaim: the contents now live on the GPU; keeping the tier
+    // copy would waste capacity on a duplicate whose recency never
+    // updates (the pre-tier design's exact bug).
+    tier.lru.erase(it->second);
+    tier.entries.erase(it);
 }
 
 void

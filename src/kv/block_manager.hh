@@ -14,19 +14,17 @@
  *    LRU list and are evicted only when a fresh block is needed —
  *    so constrained pools exhibit genuine cache thrashing (Fig 17).
  *
- * Below the GPU pool sit up to two spill tiers (Spitfire-style
- * probabilistic migration crossed with dicedb-spill's transparent
- * evict/auto-restore):
- *  - blocks evicted from HBM demote into the DRAM tier with a
- *    configurable admission probability; DRAM capacity victims sink
- *    into the NVMe tier with their own admission probability;
+ * Below the GPU pool sit up to two spill tiers (dicedb-spill's
+ * transparent evict/auto-restore):
+ *  - every block evicted from HBM demotes into the DRAM tier; DRAM
+ *    capacity victims sink into the NVMe tier;
  *  - a prompt allocation restores tier-resident prefix blocks back to
  *    the GPU instead of recomputing them; the caller prices the
  *    transfer (PCIe for DRAM, NVMe read for the flash tier) from the
  *    PromptAlloc tier split;
- *  - each tier is explicitly inclusive (a restore leaves the tier
- *    entry in place, recency refreshed) or exclusive (a restore
- *    reclaims the entry, dicedb-spill semantics — the default);
+ *  - tiers are exclusive: a restore reclaims the tier entry, so
+ *    contents live in exactly one place and tier capacity is never
+ *    spent on GPU-resident duplicates;
  *  - parkChain()/prefetchChain() let the serving layer proactively
  *    demote an idle chain while its agent waits on a tool call and
  *    promote it back just before the continuation wakes.
@@ -45,8 +43,6 @@
 #include <span>
 #include <unordered_map>
 #include <vector>
-
-#include "sim/rng.hh"
 
 namespace agentsim::kv
 {
@@ -67,23 +63,6 @@ enum class EvictionPolicy
     Lru,
     /** First published, first evicted (ignores reuse recency). */
     Fifo,
-};
-
-/** Residency discipline between the GPU pool and one spill tier. */
-enum class TierMode
-{
-    /**
-     * A restore reclaims the tier entry: contents live in exactly one
-     * place, so tier capacity is never wasted on GPU-resident
-     * duplicates (dicedb-spill removes restored keys from RocksDB).
-     */
-    Exclusive,
-    /**
-     * A restore leaves the tier entry in place with refreshed
-     * recency: a later GPU eviction needs no write-back, at the cost
-     * of duplicate footprint.
-     */
-    Inclusive,
 };
 
 /** The spill tiers, in restore-cost order. */
@@ -114,27 +93,12 @@ struct BlockManagerConfig
      * recomputing (paper keytakeaway #6).
      */
     std::int64_t hostCacheBlocks = 0;
-    /** Probability an HBM eviction victim is admitted into DRAM. */
-    double dramAdmitProb = 1.0;
-    /** Residency discipline of the DRAM tier. */
-    TierMode dramMode = TierMode::Exclusive;
     /**
      * Simulated NVMe spill tier, in blocks; 0 disables. DRAM capacity
      * victims sink here instead of vanishing; restores pay the NVMe
      * read bandwidth instead of PCIe.
      */
     std::int64_t nvmeCacheBlocks = 0;
-    /** Probability a DRAM victim (or HBM victim when DRAM is
-     *  disabled) is admitted into NVMe. */
-    double nvmeAdmitProb = 1.0;
-    /** Residency discipline of the NVMe tier. */
-    TierMode nvmeMode = TierMode::Exclusive;
-    /**
-     * Seed of the probabilistic-migration stream. Only consulted when
-     * a spill tier is enabled with an admission probability < 1, so
-     * deterministic configurations never touch it.
-     */
-    std::uint64_t seed = 1;
 };
 
 /** Result of a prompt allocation. */
@@ -184,8 +148,6 @@ struct TierStats
 {
     /** Entries admitted into this tier (HBM demotions or sink-downs). */
     std::int64_t demotedBlocks = 0;
-    /** Candidate entries skipped by probabilistic admission. */
-    std::int64_t rejectedBlocks = 0;
     /** Entries pushed out of this tier by its own capacity. */
     std::int64_t evictedBlocks = 0;
     /** Tokens restored from this tier back to the GPU. */
@@ -306,9 +268,8 @@ class BlockManager
     /**
      * Tool-call-aware parking: demote every currently unreferenced
      * GPU-cached full block of @p tokens' chain into the DRAM tier
-     * (or NVMe when DRAM is disabled), freeing the HBM blocks. The
-     * demotion is deliberate, so it bypasses the probabilistic
-     * admission filter. Blocks referenced by live sequences are
+     * (or NVMe when DRAM is disabled), freeing the HBM blocks.
+     * Blocks referenced by live sequences are
      * skipped (they are not idle). No-op when no tier is enabled or
      * prefix caching is off. @return blocks demoted.
      */
@@ -442,8 +403,6 @@ class BlockManager
     struct SpillTier
     {
         std::int64_t capacity = 0;
-        double admitProb = 1.0;
-        TierMode mode = TierMode::Exclusive;
         /** hash -> LRU key. */
         std::unordered_map<std::uint64_t, std::uint64_t> entries;
         /** LRU key -> hash, ordered oldest first. */
@@ -469,39 +428,24 @@ class BlockManager
 
     /** Spill hierarchy: [0] DRAM, [1] NVMe. */
     std::array<SpillTier, kNumSpillTiers> tiers_;
-    /**
-     * Probabilistic-migration stream. Engaged only when some enabled
-     * tier has admitProb < 1; never consulted otherwise, keeping
-     * deterministic configurations bit-identical whether or not the
-     * stream exists.
-     */
-    std::optional<sim::Rng> tierRng_;
 
     /** Mutable per-tier counter access. */
     TierStats &tierStats(std::size_t index);
 
-    /**
-     * Offer a hash evicted from HBM to the spill hierarchy: admit
-     * into the first enabled tier with its admission probability
-     * (bypassed when @p forced — deliberate parking).
-     */
-    void demoteFromGpu(std::uint64_t hash, bool forced);
+    /** Insert @p hash into the first enabled tier at or below
+     *  @p first_tier; with none, the contents are gone. */
+    void demote(std::size_t first_tier, std::uint64_t hash);
 
     /**
      * Insert @p hash into tier @p index (refreshing recency if
      * already resident); a capacity victim sinks into the next
-     * enabled tier through its own admission filter.
+     * enabled tier.
      */
     void spillToTier(std::size_t index, std::uint64_t hash);
 
-    /**
-     * A restore consumed tier @p index's entry for @p hash: reclaim
-     * it (Exclusive) or refresh its recency (Inclusive).
-     */
+    /** A restore consumed tier @p index's entry for @p hash:
+     *  reclaim it. */
     void noteTierRestore(std::size_t index, std::uint64_t hash);
-
-    /** Bernoulli draw against tier @p index's admission probability. */
-    bool tierAdmits(std::size_t index);
 
     /** Chain hash of block @p index given the previous chain hash. */
     std::uint64_t chunkHash(std::uint64_t prev_hash,

@@ -8,27 +8,13 @@ namespace agentsim::serving
 {
 
 bool
-CheckpointStore::shouldCheckpoint(std::uint64_t episode,
-                                  int completed_iterations)
+CheckpointStore::shouldCheckpoint(int completed_iterations) const
 {
-    if (!policy_.enabled)
+    // An episode with no completed iteration has nothing to resume.
+    if (!policy_.enabled || completed_iterations < 1)
         return false;
-    if (completed_iterations < policy_.minIterations)
-        return false;
-    if (policy_.everyIterations > 1 &&
-        completed_iterations % policy_.everyIterations != 0) {
-        return false;
-    }
-    if (policy_.admitProb >= 1.0)
-        return true;
-    auto it = admitRng_.find(episode);
-    if (it == admitRng_.end()) {
-        it = admitRng_
-                 .emplace(episode,
-                          sim::Rng(seed_, "checkpoint", episode))
-                 .first;
-    }
-    return it->second.bernoulli(policy_.admitProb);
+    return policy_.everyIterations <= 1 ||
+           completed_iterations % policy_.everyIterations == 0;
 }
 
 void
@@ -50,15 +36,12 @@ CheckpointStore::put(std::uint64_t episode, EpisodeCheckpoint ckpt,
             ? ckpt.chainTokens.size() - prev_tokens
             : 0);
     ckpt.snapshotBytes =
-        policy_.journalBytes +
+        kCheckpointJournalBytes +
         static_cast<std::int64_t>(delta_tokens * bytes_per_token);
     ++stats_.checkpointsTaken;
     stats_.bytesWritten += ckpt.snapshotBytes;
-    if (policy_.wireBandwidth > 0.0) {
-        stats_.snapshotSeconds +=
-            static_cast<double>(ckpt.snapshotBytes) /
-            policy_.wireBandwidth;
-    }
+    stats_.snapshotSeconds +=
+        static_cast<double>(ckpt.snapshotBytes) / kCheckpointWireBandwidth;
     entries_[episode] = std::move(ckpt);
 }
 
@@ -73,7 +56,6 @@ void
 CheckpointStore::erase(std::uint64_t episode)
 {
     entries_.erase(episode);
-    admitRng_.erase(episode);
 }
 
 } // namespace agentsim::serving

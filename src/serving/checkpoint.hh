@@ -20,17 +20,15 @@
  * Snapshots are journal *deltas*: re-checkpointing an episode pays
  * only for the tokens appended since the previous checkpoint (the
  * prefix bytes are already in the store), plus a fixed journal
- * overhead. Write time is priced against `wireBandwidth` — a
+ * overhead. Write time is priced against kCheckpointWireBandwidth — a
  * host-DRAM-class path, never HBM residency — and accounted as
  * background bytes, not sim delay: snapshot writes overlap the next
- * iteration's decode exactly like PR 7's background tier demotions.
+ * iteration's decode exactly like the background tier demotions.
  *
- * Determinism: the probabilistic admission knob draws from a
- * dedicated per-episode `sim::Rng(seed, "checkpoint", episode)`
- * stream (the `"kv.tier"` idiom), so enabling checkpointing consumes
- * nothing from the fault, retry or workload streams. With the policy
- * disabled the store is never constructed and the run is
- * bit-identical to a build without this file.
+ * Determinism: the policy gate draws no random numbers, so enabling
+ * checkpointing consumes nothing from the fault, retry or workload
+ * streams. With the policy disabled the store is never constructed
+ * and the run is bit-identical to a build without this file.
  */
 
 #ifndef AGENTSIM_SERVING_CHECKPOINT_HH
@@ -42,42 +40,30 @@
 #include <vector>
 
 #include "kv/block_manager.hh"
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace agentsim::serving
 {
 
-/** When and how eagerly episodes are checkpointed. */
+/** When episodes are checkpointed. */
 struct CheckpointPolicy
 {
-    /** Master switch. Off: no store, no draws, bit-identical runs. */
+    /** Master switch. Off: no store, bit-identical runs. */
     bool enabled = false;
     /** Journal every k-th completed iteration (1 = every). */
     int everyIterations = 1;
-    /**
-     * Skip episodes younger than this many completed iterations: a
-     * young episode is cheap to replay, so the snapshot overhead
-     * cannot pay for itself yet.
-     */
-    int minIterations = 1;
-    /**
-     * Probability an eligible iteration is actually journaled, drawn
-     * from the dedicated "checkpoint" stream (1 = always). Lets
-     * operators shed snapshot bandwidth under pressure without
-     * perturbing any other stream.
-     */
-    double admitProb = 1.0;
-    /**
-     * Snapshot/restore wire bandwidth, B/s. Checkpoints live in host
-     * DRAM (spilling to NVMe under pressure), so the default is a
-     * PCIe-class path, not the 200 GB/s inter-node interconnect.
-     */
-    double wireBandwidth = 25e9;
-    /** Fixed journal overhead per snapshot (workflow state, trace),
-     *  bytes. */
-    std::int64_t journalBytes = 4096;
 };
+
+/**
+ * Snapshot write bandwidth, B/s. Checkpoints live in host DRAM
+ * (spilling to NVMe under pressure), so this is a PCIe-class path,
+ * not the 200 GB/s inter-node interconnect.
+ */
+inline constexpr double kCheckpointWireBandwidth = 25e9;
+
+/** Fixed journal overhead per snapshot (workflow state, trace),
+ *  bytes. */
+inline constexpr std::int64_t kCheckpointJournalBytes = 4096;
 
 /**
  * One journaled episode snapshot: enough to resume the rollout at
@@ -144,8 +130,8 @@ struct RecoveryStats
 class CheckpointStore
 {
   public:
-    CheckpointStore(const CheckpointPolicy &policy, std::uint64_t seed)
-        : policy_(policy), seed_(seed)
+    explicit CheckpointStore(const CheckpointPolicy &policy)
+        : policy_(policy)
     {
     }
 
@@ -153,12 +139,9 @@ class CheckpointStore
 
     /**
      * Policy gate: should an episode with @p completed_iterations
-     * journal a snapshot now? Draws from the per-episode "checkpoint"
-     * stream only when admitProb < 1 (and only for otherwise-eligible
-     * iterations), so the knob cannot perturb other streams.
+     * (>= 1) journal a snapshot now?
      */
-    bool shouldCheckpoint(std::uint64_t episode,
-                          int completed_iterations);
+    bool shouldCheckpoint(int completed_iterations) const;
 
     /**
      * Journal @p ckpt as episode @p episode's latest snapshot,
@@ -182,11 +165,7 @@ class CheckpointStore
 
   private:
     CheckpointPolicy policy_;
-    std::uint64_t seed_;
     std::unordered_map<std::uint64_t, EpisodeCheckpoint> entries_;
-    /** Dedicated admission streams, one per episode, engaged lazily
-     *  and only when admitProb < 1 (determinism: see file comment). */
-    std::unordered_map<std::uint64_t, sim::Rng> admitRng_;
     RecoveryStats stats_;
 };
 

@@ -53,10 +53,8 @@ LlmEngine::LlmEngine(sim::Simulation &sim, const EngineConfig &config)
           .enablePrefixCaching = config.enablePrefixCaching,
           .evictionPolicy = config.evictionPolicy,
           .hostCacheBlocks = config.hostCacheBlocks,
-          .nvmeCacheBlocks = config.nvmeCacheBlocks,
-          .seed = config.seed}),
-      sampler_(telemetry::SamplerConfig{config.samplerStride,
-                                        config.samplerCapacity}),
+          .nvmeCacheBlocks = config.nvmeCacheBlocks}),
+      sampler_(telemetry::SamplerConfig{.stride = config.samplerStride}),
       loop_(runLoop())
 {
 }
@@ -1508,11 +1506,6 @@ LlmEngine::exportMetrics(telemetry::MetricsRegistry &registry) const
             .counter(name("demotions_total"),
                      "Blocks admitted into this KV spill tier")
             .set(static_cast<double>(t.demotedBlocks));
-        registry
-            .counter(name("rejects_total"),
-                     "Demotion candidates skipped by probabilistic "
-                     "admission")
-            .set(static_cast<double>(t.rejectedBlocks));
         registry
             .counter(name("evictions_total"),
                      "Blocks pushed out of this tier by its capacity")

@@ -114,8 +114,6 @@ struct EngineConfig
      * one struct copy into a preallocated ring.
      */
     int samplerStride = 1;
-    /** Iteration-sampler ring capacity, in samples. */
-    std::size_t samplerCapacity = 1 << 16;
 };
 
 /** Aggregated engine-level statistics. */

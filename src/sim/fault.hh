@@ -48,14 +48,12 @@ struct FaultConfig
     /** Mean injected stall length, seconds (exponential). */
     double stallMeanSeconds = 0.25;
 
-    /** Probability a tool call fails outright. */
+    /** Probability a tool call fails outright (burning
+     *  kToolFailureSeconds, tools/tool.cc). */
     double toolFailureProb = 0.0;
-    /** Wall time burned by a failing tool call, seconds. */
-    double toolFailureSeconds = 1.0;
-    /** Probability a tool call suffers a latency spike. */
+    /** Probability a tool call suffers a latency spike (of
+     *  kToolSlowdownFactor times its latency, tools/tool.cc). */
     double toolSlowdownProb = 0.0;
-    /** Latency multiplier of a spiking tool call. */
-    double toolSlowdownFactor = 4.0;
 
     /** Seed for the fault streams ("fault.node", "fault.stall"). */
     std::uint64_t seed = 1;

@@ -10,71 +10,6 @@ namespace agentsim::stats
 {
 
 void
-Summary::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-}
-
-double
-Summary::mean() const
-{
-    return count_ == 0 ? 0.0 : mean_;
-}
-
-double
-Summary::variance() const
-{
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-Summary::min() const
-{
-    return count_ == 0 ? 0.0 : min_;
-}
-
-double
-Summary::max() const
-{
-    return count_ == 0 ? 0.0 : max_;
-}
-
-void
 SampleSet::add(double x)
 {
     values_.push_back(x);

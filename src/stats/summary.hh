@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming summary statistics (Welford) and an exact sample set with
- * percentile queries, used by every experiment reporter.
+ * An exact sample set with percentile queries, used by every
+ * experiment reporter.
  */
 
 #ifndef AGENTSIM_STATS_SUMMARY_HH
@@ -12,37 +12,6 @@
 
 namespace agentsim::stats
 {
-
-/**
- * Constant-memory running statistics: count, mean, variance, min, max.
- * Uses Welford's online algorithm for numerical stability.
- */
-class Summary
-{
-  public:
-    /** Add one observation. */
-    void add(double x);
-
-    /** Merge another summary into this one. */
-    void merge(const Summary &other);
-
-    std::size_t count() const { return count_; }
-    double mean() const;
-    /** Unbiased sample variance (0 for < 2 samples). */
-    double variance() const;
-    /** Sample standard deviation. */
-    double stddev() const;
-    double min() const;
-    double max() const;
-    double sum() const { return mean() * static_cast<double>(count_); }
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Stores every observation; supports exact percentile queries via

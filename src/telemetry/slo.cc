@@ -25,9 +25,6 @@ SloTracker::SloTracker(const SloConfig &config) : config_(config)
 {
     AGENTSIM_ASSERT(config.windowSeconds > 0.0,
                     "SLO window must be positive");
-    AGENTSIM_ASSERT(config.attainmentTarget > 0.0 &&
-                        config.attainmentTarget < 1.0,
-                    "attainment target must lie inside (0, 1)");
     windowTicks_ = sim::fromSeconds(config.windowSeconds);
     trackers_[0].targetSeconds = config.ttftTargetSeconds;
     trackers_[1].targetSeconds = config.tbtTargetSeconds;
@@ -109,13 +106,13 @@ SloTracker::observeFailure(SloMetric metric, sim::Tick now)
 void
 SloTracker::maybeAlert(SloMetric metric, Tracker &t, sim::Tick now)
 {
-    if (t.windowAlerted || t.windowTotal < config_.minWindowSamples)
+    if (t.windowAlerted || t.windowTotal < kSloMinWindowSamples)
         return;
-    const double budget = 1.0 - config_.attainmentTarget;
+    const double budget = 1.0 - kSloAttainmentTarget;
     const double frac = static_cast<double>(t.windowViolations) /
                         static_cast<double>(t.windowTotal);
     const double burn = frac / budget;
-    if (burn < config_.burnRateAlertThreshold)
+    if (burn < kSloBurnRateAlertThreshold)
         return;
 
     t.windowAlerted = true;
@@ -173,7 +170,7 @@ SloTracker::windowBurnRate(SloMetric metric, sim::Tick now) const
     const Tracker &t = tracker(metric);
     if (now >= t.windowStart + windowTicks_ || t.windowTotal == 0)
         return 0.0;
-    const double budget = 1.0 - config_.attainmentTarget;
+    const double budget = 1.0 - kSloAttainmentTarget;
     return static_cast<double>(t.windowViolations) /
            static_cast<double>(t.windowTotal) / budget;
 }

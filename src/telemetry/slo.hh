@@ -45,7 +45,16 @@ enum class SloMetric
 
 std::string_view sloMetricName(SloMetric m);
 
-/** SLO objectives and alerting policy. */
+/** Fraction of observations that must meet each target (the SLO
+ *  objective: "95% under target"). */
+inline constexpr double kSloAttainmentTarget = 0.95;
+/** Alert when a window's burn rate reaches this multiple of the error
+ *  budget. */
+inline constexpr double kSloBurnRateAlertThreshold = 2.0;
+/** Observations a window needs before it can alert (debounce). */
+inline constexpr std::int64_t kSloMinWindowSamples = 10;
+
+/** SLO latency targets and evaluation window. */
 struct SloConfig
 {
     /** Per-metric latency targets, seconds (<= 0 disables a metric). */
@@ -53,19 +62,8 @@ struct SloConfig
     double tbtTargetSeconds = 0.25;
     double e2eTargetSeconds = 60.0;
 
-    /** Fraction of observations that must meet the target (the SLO
-     *  objective, e.g. 0.95 for "95% under target"). */
-    double attainmentTarget = 0.95;
-
     /** Evaluation window length, virtual seconds. */
     double windowSeconds = 10.0;
-
-    /** Alert when a window's burn rate reaches this multiple of the
-     *  error budget. */
-    double burnRateAlertThreshold = 2.0;
-
-    /** Observations a window needs before it can alert (debounce). */
-    std::int64_t minWindowSamples = 10;
 };
 
 /**

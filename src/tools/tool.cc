@@ -8,6 +8,16 @@
 namespace agentsim::tools
 {
 
+namespace
+{
+
+/** Wall time a failing tool call burns before erroring, seconds. */
+constexpr double kToolFailureSeconds = 1.0;
+/** Latency multiplier of a tool call that hits a spike. */
+constexpr double kToolSlowdownFactor = 4.0;
+
+} // namespace
+
 double
 LatencySpec::sample(sim::Rng &rng) const
 {
@@ -69,17 +79,16 @@ Tool::invoke(sim::Rng &rng)
     // holds its concurrency permit while burning wall time (a wedged
     // endpoint blocks other callers, just like a healthy slow one).
     bool fail = false;
-    double slowdown = 1.0;
+    bool slow = false;
     if (faults_) {
         fail = faultRng_->bernoulli(faults_->failureProb);
-        if (!fail && faultRng_->bernoulli(faults_->slowdownProb))
-            slowdown = faults_->slowdownFactor;
+        slow = !fail && faultRng_->bernoulli(faults_->slowdownProb);
     }
 
     ToolResult result;
     try {
         if (fail) {
-            co_await sim::delaySec(sim_, faults_->failureSeconds);
+            co_await sim::delaySec(sim_, kToolFailureSeconds);
             result.failed = true;
             result.observationTokens =
                 faults_->failureObservationTokens;
@@ -87,11 +96,11 @@ Tool::invoke(sim::Rng &rng)
         } else {
             const sim::Tick exec_start = sim_.now();
             result = co_await execute(rng);
-            if (slowdown > 1.0) {
+            if (slow) {
                 const double elapsed =
                     sim::toSeconds(sim_.now() - exec_start);
-                co_await sim::delaySec(sim_,
-                                       elapsed * (slowdown - 1.0));
+                co_await sim::delaySec(
+                    sim_, elapsed * (kToolSlowdownFactor - 1.0));
                 ++slowdowns_;
             }
         }

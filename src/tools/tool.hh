@@ -49,16 +49,14 @@ struct ToolResult
  */
 struct FaultProfile
 {
-    /** Probability a call fails outright. */
+    /** Probability a call fails outright, burning
+     *  kToolFailureSeconds (tool.cc) before erroring. */
     double failureProb = 0.0;
-    /** Wall time a failing call burns before erroring, seconds. */
-    double failureSeconds = 1.0;
     /** Error-observation length returned by a failed call, tokens. */
     std::int64_t failureObservationTokens = 16;
-    /** Probability a (non-failing) call hits a latency spike. */
+    /** Probability a (non-failing) call hits a latency spike of
+     *  kToolSlowdownFactor (tool.cc) times its latency. */
     double slowdownProb = 0.0;
-    /** Latency multiplier during a spike. */
-    double slowdownFactor = 4.0;
     /** Seed for the tool's "fault.tool" stream. */
     std::uint64_t seed = 1;
 };

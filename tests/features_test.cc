@@ -12,7 +12,9 @@
 #include <string_view>
 
 #include "agents/workflows.hh"
+#include "core/brownout.hh"
 #include "core/cluster.hh"
+#include "core/health.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
 #include "core/table.hh"
@@ -1058,8 +1060,7 @@ TEST(Resilience, DeterministicUnderMaintenance)
 
 TEST(Health, BreakerOpensOnSustainedFailureAndRecovers)
 {
-    core::HealthConfig hc; // defaults: open at 60% over >=4 events
-    core::HealthRegistry reg(hc, 2);
+    core::HealthRegistry reg(2); // opens at 60% over >= 4 events
     EXPECT_TRUE(reg.allows(0, 0));
     EXPECT_EQ(reg.state(0), core::BreakerState::Closed);
 
@@ -1088,8 +1089,7 @@ TEST(Health, BreakerOpensOnSustainedFailureAndRecovers)
 
 TEST(Health, FailedProbeReopensForAFreshCoolDown)
 {
-    core::HealthConfig hc;
-    core::HealthRegistry reg(hc, 1);
+    core::HealthRegistry reg(1);
     for (int i = 0; i < 5; ++i)
         reg.reportFailure(0, sim::fromSeconds(0.1 * i));
     ASSERT_EQ(reg.state(0), core::BreakerState::Open);
@@ -1104,25 +1104,9 @@ TEST(Health, FailedProbeReopensForAFreshCoolDown)
     EXPECT_TRUE(reg.allows(0, sim::fromSeconds(9.2)));
 }
 
-TEST(Health, DisabledBreakersAlwaysAllow)
-{
-    core::HealthConfig hc;
-    hc.breakerEnabled = false;
-    core::HealthRegistry reg(hc, 1);
-    for (int i = 0; i < 20; ++i)
-        reg.reportFailure(0, sim::fromSeconds(0.1 * i));
-    EXPECT_TRUE(reg.allows(0, sim::fromSeconds(2.0)));
-    EXPECT_EQ(reg.state(0), core::BreakerState::Closed);
-    EXPECT_EQ(reg.opens(), 0);
-    // The health EWMA still tracks, for observability.
-    EXPECT_GT(reg.health(0).failureRate(sim::fromSeconds(2.0)), 0.9);
-}
-
 TEST(Brownout, EscalatesWithDwellAndRestoresWithHysteresis)
 {
-    core::BrownoutConfig bc;
-    bc.enabled = true; // defaults: 0.90/0.65 KV, 1.5/0.75 burn, 4 s
-    core::BrownoutController ctl(bc);
+    core::BrownoutController ctl; // 0.90/0.65 KV, 1.5/0.75 burn, 4 s
     EXPECT_EQ(ctl.level(), 0);
 
     // Pressure right away: the dwell time has not elapsed yet.
@@ -1157,9 +1141,7 @@ TEST(Brownout, EscalatesWithDwellAndRestoresWithHysteresis)
 
 TEST(Brownout, ApplyTrimsWidthThenDowngradesDeadlineless)
 {
-    core::BrownoutConfig bc;
-    bc.enabled = true;
-    core::BrownoutController ctl(bc);
+    core::BrownoutController ctl;
 
     agents::AgentConfig base;
     base.latsChildren = 5;
@@ -1223,12 +1205,9 @@ controllerConfig()
     a.enabled = true;
     a.minNodes = 1;
     a.maxNodes = 4;
-    a.arrivalTauSeconds = 20.0;
     a.nodeServiceQps = 1.0;
-    a.targetUtilization = 0.75;
     a.scaleOutCooldownSeconds = 10.0;
     a.scaleInCooldownSeconds = 30.0;
-    a.scaleInUtilization = 0.5;
     return a;
 }
 
@@ -1334,32 +1313,26 @@ TEST(Autoscaler, ScaleInWaitsOutSustainedRelief)
 
 TEST(Autoscaler, WarmupPricesBootPlusShardedWeightLoad)
 {
-    core::AutoscalerConfig a;
-    a.nodeBootSeconds = 4.0;
     const llm::ModelSpec model = llm::llama31_8b();
     const llm::NodeSpec node = llm::singleA100();
 
-    // Default bandwidth: the host->GPU (PCIe) offload link.
+    // The weight shard loads over the host->GPU (PCIe) offload link.
     const double expect_pcie =
-        4.0 + model.weightBytes() /
-                  static_cast<double>(node.numGpus) /
-                  node.hostOffloadBandwidth;
-    EXPECT_DOUBLE_EQ(core::nodeWarmupSeconds(a, model, node),
-                     expect_pcie);
-
-    // An explicit bandwidth overrides it; faster links load faster,
-    // but the boot floor always remains.
-    a.weightLoadBandwidth = 4.0 * node.hostOffloadBandwidth;
-    const double fast = core::nodeWarmupSeconds(a, model, node);
-    EXPECT_LT(fast, expect_pcie);
-    EXPECT_GT(fast, a.nodeBootSeconds);
+        core::kNodeBootSeconds + model.weightBytes() /
+                                     static_cast<double>(node.numGpus) /
+                                     node.hostOffloadBandwidth;
+    EXPECT_DOUBLE_EQ(core::nodeWarmupSeconds(model, node), expect_pcie);
+    // More GPUs split the shard, but the boot floor always remains.
+    const llm::NodeSpec big = llm::octoA100();
+    const double sharded = core::nodeWarmupSeconds(model, big);
+    EXPECT_LT(sharded, expect_pcie);
+    EXPECT_GT(sharded, core::kNodeBootSeconds);
 }
 
 TEST(Admission, RejectsWhenProjectedDelayEatsBudget)
 {
     auto cfg = controllerConfig();
     cfg.nodeServiceQps = 2.0;
-    cfg.admissionDeadlineFraction = 0.5;
     core::AdmissionController ac(cfg);
 
     // Little's law with a pinned service rate: 4 queued / 2 per s.
@@ -1370,12 +1343,8 @@ TEST(Admission, RejectsWhenProjectedDelayEatsBudget)
     EXPECT_FALSE(ac.admit(30, 1, 10.0, 0));
     EXPECT_EQ(ac.decisions(), 2);
     EXPECT_EQ(ac.rejects(), 1);
-    // Deadline-less requests pass unless admissionMaxDelaySeconds
-    // gates them.
+    // Deadline-less requests always pass.
     EXPECT_TRUE(ac.admit(1000, 1, 0.0, 0));
-    cfg.admissionMaxDelaySeconds = 3.0;
-    core::AdmissionController strict(cfg);
-    EXPECT_FALSE(strict.admit(1000, 1, 0.0, 0));
 }
 
 TEST(Admission, ColdStartAdmitsUntilServiceRateIsLearned)
@@ -1423,7 +1392,6 @@ elasticCluster()
     cfg.autoscaler.nodeServiceQps = 1.5;
     cfg.autoscaler.scaleOutCooldownSeconds = 5.0;
     cfg.autoscaler.scaleInCooldownSeconds = 12.0;
-    cfg.autoscaler.drainDeadlineSeconds = 3.0;
     return cfg;
 }
 
@@ -1466,19 +1434,24 @@ TEST(Autoscaler, DeterministicAcrossRuns)
 TEST(Autoscaler, WarmupIsChargedBeforeTrafficFlows)
 {
     auto cfg = elasticCluster();
-    // Boot takes longer than the whole run: scale-outs are ordered
-    // and billed, but the nodes never finish warming.
-    cfg.autoscaler.nodeBootSeconds = 10000.0;
+    // A 1 MB/s host link stretches the weight load (and so the
+    // warm-up) past the whole run: scale-outs are ordered and billed,
+    // but the nodes never finish warming. Nothing else on this run
+    // crosses the host link (no KV spill tiers).
+    cfg.engineConfig.node.hostOffloadBandwidth = 1e6;
+    const double warmup = core::nodeWarmupSeconds(
+        cfg.engineConfig.model, cfg.engineConfig.node);
     const auto r = core::runCluster(cfg);
 
     EXPECT_EQ(r.completed + r.failed, 300);
     EXPECT_GE(r.scaleOuts, 1);
+    EXPECT_LT(r.makespanSeconds, warmup);
     // No scaled-out node ever took a request...
     EXPECT_EQ(r.peakActiveNodes, 1);
     for (std::size_t i = 1; i < r.nodes.size(); ++i)
         EXPECT_EQ(r.nodes[i].requests, 0);
     // ...but its warm-up bill was still charged.
-    EXPECT_GE(r.warmupSecondsTotal, 10000.0);
+    EXPECT_GE(r.warmupSecondsTotal, warmup);
     EXPECT_EQ(r.scaleIns, 0);
 }
 
@@ -1520,28 +1493,12 @@ TEST(ClusterValidation, RejectsNonsensicalConfigs)
     }
     {
         auto cfg = valid();
-        cfg.brownout.enabled = true;
-        cfg.brownout.kvHighWatermark = 0.5;
-        cfg.brownout.kvLowWatermark = 0.9;
-        EXPECT_DEATH(core::validateClusterConfig(cfg),
-                     "KV watermarks inverted");
-    }
-    {
-        auto cfg = valid();
         cfg.arrival.kind = core::ArrivalPattern::Kind::Diurnal;
         cfg.arrival.periodSeconds = 100.0;
         cfg.arrival.burstStartFraction = 0.9;
         cfg.arrival.burstDurationSeconds = 20.0;
         EXPECT_DEATH(core::validateClusterConfig(cfg),
                      "overruns");
-    }
-    {
-        auto cfg = valid();
-        cfg.autoscaler.enabled = true;
-        cfg.autoscaler.nodeServiceQps = 1.0;
-        cfg.autoscaler.scaleInUtilization = 0.9; // >= target 0.75
-        EXPECT_DEATH(core::validateClusterConfig(cfg),
-                     "hysteresis");
     }
 }
 
@@ -1587,12 +1544,57 @@ TEST(ClusterValidation, RejectsMalformedBasics)
         EXPECT_DEATH(core::validateClusterConfig(cfg),
                      "numRequests must be >= 1");
     }
-    {
+}
+
+TEST(ClusterValidation, RejectsMalformedFaultsAndMaintenance)
+{
+    const auto valid = [] {
+        core::ClusterConfig cfg;
+        cfg.numNodes = 2;
+        cfg.engineConfig = core::enginePreset8b();
+        core::WorkloadSpec chat;
+        chat.chatbot = true;
+        cfg.mix.push_back(chat);
+        return cfg;
+    };
+    const auto rejects = [&](auto mutate, const char *message) {
         auto cfg = valid();
-        cfg.retry.maxAttempts = 0;
-        EXPECT_DEATH(core::validateClusterConfig(cfg),
-                     "maxAttempts must be >= 1");
-    }
+        mutate(cfg);
+        EXPECT_DEATH(core::validateClusterConfig(cfg), message);
+    };
+    using Cfg = core::ClusterConfig;
+    rejects([](Cfg &c) { c.faults.nodeMtbfSeconds = -1.0; },
+            "negative MTBF");
+    rejects([](Cfg &c) { c.faults.stallMtbfSeconds = -1.0; },
+            "negative MTBF");
+    rejects(
+        [](Cfg &c) {
+            c.faults.nodeMtbfSeconds = 60.0;
+            c.faults.nodeRestartMeanSeconds = 0.0;
+        },
+        "mean restart time");
+    rejects(
+        [](Cfg &c) {
+            c.faults.stallMtbfSeconds = 30.0;
+            c.faults.stallMeanSeconds = -0.5;
+        },
+        "mean stall length");
+    rejects([](Cfg &c) { c.faults.toolFailureProb = 1.5; },
+            "tool fault probability");
+    rejects([](Cfg &c) { c.faults.toolSlowdownProb = -0.1; },
+            "tool fault probability");
+    rejects([](Cfg &c) { c.maintenance.periodSeconds = -10.0; },
+            "maintenance: negative period");
+    rejects([](Cfg &c) { c.maintenance.downtimeSeconds = -1.0; },
+            "maintenance: negative downtime");
+    rejects([](Cfg &c) { c.maintenance.drainDeadlineSeconds = -1.0; },
+            "maintenance: negative drain deadline");
+
+    // Means are only required for the fault classes that are on.
+    auto quiet = valid();
+    quiet.faults.nodeRestartMeanSeconds = 0.0;
+    quiet.faults.stallMeanSeconds = 0.0;
+    core::validateClusterConfig(quiet);
 }
 
 } // namespace

@@ -41,9 +41,9 @@ using sim::Task;
 TEST(CheckpointStore, DisabledPolicyNeverAdmits)
 {
     CheckpointPolicy policy; // enabled defaults to false
-    CheckpointStore store(policy, 1);
+    CheckpointStore store(policy);
     for (int iter = 1; iter <= 8; ++iter)
-        EXPECT_FALSE(store.shouldCheckpoint(0, iter));
+        EXPECT_FALSE(store.shouldCheckpoint(iter));
 }
 
 TEST(CheckpointStore, EveryKAndMinIterationsGate)
@@ -51,57 +51,34 @@ TEST(CheckpointStore, EveryKAndMinIterationsGate)
     CheckpointPolicy policy;
     policy.enabled = true;
     policy.everyIterations = 2;
-    policy.minIterations = 3;
-    CheckpointStore store(policy, 1);
-    // Below the age floor nothing is journaled, even on a k-multiple.
-    EXPECT_FALSE(store.shouldCheckpoint(0, 1));
-    EXPECT_FALSE(store.shouldCheckpoint(0, 2));
-    // At and past the floor, only every 2nd iteration qualifies.
-    EXPECT_FALSE(store.shouldCheckpoint(0, 3));
-    EXPECT_TRUE(store.shouldCheckpoint(0, 4));
-    EXPECT_FALSE(store.shouldCheckpoint(0, 5));
-    EXPECT_TRUE(store.shouldCheckpoint(0, 6));
-}
-
-TEST(CheckpointStore, AdmitProbIsPerEpisodeDeterministic)
-{
-    CheckpointPolicy policy;
-    policy.enabled = true;
-    policy.admitProb = 0.5;
-    CheckpointStore a(policy, 42);
-    CheckpointStore b(policy, 42);
-    // Same seed, same episode -> identical admission sequence (the
-    // draw comes from a dedicated per-episode stream, so it cannot
-    // depend on draw order across episodes).
-    std::vector<bool> seq_a, seq_b;
-    for (int iter = 1; iter <= 32; ++iter) {
-        seq_a.push_back(a.shouldCheckpoint(7, iter));
-        b.shouldCheckpoint(3, iter); // interleave another episode
-        seq_b.push_back(b.shouldCheckpoint(7, iter));
-    }
-    EXPECT_EQ(seq_a, seq_b);
-    // A 0.5 coin over 32 flips lands strictly between the extremes.
-    const auto admitted = std::count(seq_a.begin(), seq_a.end(), true);
-    EXPECT_GT(admitted, 0);
-    EXPECT_LT(admitted, 32);
+    CheckpointStore store(policy);
+    // An episode with no completed iteration has nothing to journal.
+    EXPECT_FALSE(store.shouldCheckpoint(0));
+    // Past the floor, only every 2nd iteration qualifies.
+    EXPECT_FALSE(store.shouldCheckpoint(1));
+    EXPECT_TRUE(store.shouldCheckpoint(2));
+    EXPECT_FALSE(store.shouldCheckpoint(3));
+    EXPECT_TRUE(store.shouldCheckpoint(4));
 }
 
 TEST(CheckpointStore, PutChargesDeltaBytesOnly)
 {
+    using serving::kCheckpointJournalBytes;
     CheckpointPolicy policy;
     policy.enabled = true;
-    policy.journalBytes = 1000;
-    policy.wireBandwidth = 1e6; // 1 MB/s: seconds easy to eyeball
-    CheckpointStore store(policy, 1);
+    CheckpointStore store(policy);
 
     EpisodeCheckpoint first;
     first.iteration = 1;
     first.chainTokens.assign(100, 7);
     first.gpuSeconds = 1.0;
     store.put(0, std::move(first), /*bytes_per_token=*/10.0);
-    // 100 tokens x 10 B + 1000 B journal overhead.
-    EXPECT_EQ(store.stats().bytesWritten, 2000);
-    EXPECT_DOUBLE_EQ(store.stats().snapshotSeconds, 2000 / 1e6);
+    // 100 tokens x 10 B + the fixed journal overhead.
+    const std::int64_t first_bytes = 1000 + kCheckpointJournalBytes;
+    EXPECT_EQ(store.stats().bytesWritten, first_bytes);
+    EXPECT_DOUBLE_EQ(store.stats().snapshotSeconds,
+                     static_cast<double>(first_bytes) /
+                         serving::kCheckpointWireBandwidth);
 
     // Re-checkpointing the same episode pays only for the appended
     // tokens, not the whole chain again.
@@ -111,7 +88,8 @@ TEST(CheckpointStore, PutChargesDeltaBytesOnly)
     second.gpuSeconds = 2.0;
     store.put(0, std::move(second), 10.0);
     EXPECT_EQ(store.stats().checkpointsTaken, 2);
-    EXPECT_EQ(store.stats().bytesWritten, 2000 + 1500);
+    EXPECT_EQ(store.stats().bytesWritten,
+              first_bytes + 500 + kCheckpointJournalBytes);
 
     // A shrinking chain (Reflexion trial boundary) costs only the
     // journal overhead.
@@ -119,7 +97,8 @@ TEST(CheckpointStore, PutChargesDeltaBytesOnly)
     third.iteration = 3;
     third.chainTokens.assign(50, 7);
     store.put(0, std::move(third), 10.0);
-    EXPECT_EQ(store.stats().bytesWritten, 2000 + 1500 + 1000);
+    EXPECT_EQ(store.stats().bytesWritten,
+              first_bytes + 500 + 2 * kCheckpointJournalBytes);
 
     const EpisodeCheckpoint *latest = store.find(0);
     ASSERT_NE(latest, nullptr);
@@ -183,23 +162,6 @@ TEST(Recovery, FaultScheduleIdenticalWithCheckpointingOnOrOff)
     // Baseline runs report zero recovery activity.
     EXPECT_EQ(off.recovery.resumes, 0);
     EXPECT_DOUBLE_EQ(off.recovery.recoveredGpuSeconds, 0.0);
-}
-
-TEST(Recovery, AdmitProbDrawsFromDedicatedStream)
-{
-    auto cfg = chaosCluster();
-    cfg.checkpoint.enabled = true;
-    const auto always = core::runCluster(cfg);
-    // Thinning admission consumes draws only from the per-episode
-    // "checkpoint" stream, so the fault schedule still cannot move.
-    cfg.checkpoint.admitProb = 0.4;
-    const auto thinned = core::runCluster(cfg);
-    const auto &a = always.faultStats.crashSeconds;
-    const auto &b = thinned.faultStats.crashSeconds;
-    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
-        EXPECT_DOUBLE_EQ(a[i], b[i]) << "crash " << i << " moved";
-    EXPECT_LT(thinned.recovery.checkpointsTaken,
-              always.recovery.checkpointsTaken);
 }
 
 // ---------------------------------------------------------------

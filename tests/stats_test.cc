@@ -22,47 +22,7 @@ using namespace agentsim;
 using stats::DesignPoint;
 using stats::Histogram;
 using stats::SampleSet;
-using stats::Summary;
 using stats::TimeWeightedGauge;
-
-TEST(Summary, BasicMoments)
-{
-    Summary s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    // Population variance is 4; sample variance is 32/7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Summary, EmptyIsSafe)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Summary, MergeMatchesCombinedStream)
-{
-    Summary a;
-    Summary b;
-    Summary combined;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i) * 10.0;
-        (i % 2 ? a : b).add(x);
-        combined.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), combined.min());
-    EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
 
 TEST(SampleSet, PercentilesInterpolate)
 {

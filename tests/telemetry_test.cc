@@ -501,9 +501,6 @@ tightTtft()
     cfg.tbtTargetSeconds = 0.0; // disabled
     cfg.e2eTargetSeconds = 0.0; // disabled
     cfg.windowSeconds = 10.0;
-    cfg.attainmentTarget = 0.95;
-    cfg.burnRateAlertThreshold = 2.0;
-    cfg.minWindowSamples = 10;
     return cfg;
 }
 
@@ -583,12 +580,13 @@ TEST(Slo, WindowRotationJumpsEmptyWindows)
 
 TEST(Slo, MinWindowSamplesDebouncesAlerts)
 {
-    auto cfg = tightTtft();
-    cfg.minWindowSamples = 50;
-    SloTracker slo(cfg);
+    SloTracker slo(tightTtft());
     // 100% violations but under the sample floor: no alert.
-    for (int i = 0; i < 49; ++i)
-        slo.observe(SloMetric::Ttft, sim::fromSeconds(0.01 * i), 5.0);
+    for (std::int64_t i = 0; i + 1 < telemetry::kSloMinWindowSamples;
+         ++i) {
+        slo.observe(SloMetric::Ttft,
+                    sim::fromSeconds(0.01 * static_cast<double>(i)), 5.0);
+    }
     EXPECT_EQ(slo.alertsFired(), 0);
     slo.observe(SloMetric::Ttft, sim::fromSeconds(0.5), 5.0);
     EXPECT_EQ(slo.alertsFired(), 1);
