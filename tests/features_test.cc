@@ -1104,6 +1104,41 @@ TEST(Health, FailedProbeReopensForAFreshCoolDown)
     EXPECT_TRUE(reg.allows(0, sim::fromSeconds(9.2)));
 }
 
+TEST(Health, BreakerWaitsForMinimumEvidence)
+{
+    core::HealthRegistry reg(1);
+    // Three failures at one instant: a 100% failure rate, but under
+    // the 4-event debounce floor.
+    for (int i = 0; i < 3; ++i)
+        reg.reportFailure(0, 0);
+    EXPECT_DOUBLE_EQ(reg.health(0).failureRate(0), 1.0);
+    EXPECT_EQ(reg.state(0), core::BreakerState::Closed);
+    EXPECT_TRUE(reg.allows(0, 0));
+    reg.reportFailure(0, 0);
+    EXPECT_EQ(reg.state(0), core::BreakerState::Open);
+    EXPECT_EQ(reg.opens(), 1);
+}
+
+TEST(Health, MinorityFailuresKeepBreakerClosed)
+{
+    core::HealthRegistry reg(1);
+    // Every other request fails, starting with a success: a 50% rate
+    // stays under the 60% open threshold however much evidence piles
+    // up.
+    for (int i = 0; i < 40; ++i) {
+        const sim::Tick now = sim::fromSeconds(0.1 * i);
+        if (i % 2 == 1)
+            reg.reportFailure(0, now);
+        else
+            reg.reportSuccess(0, now);
+    }
+    const sim::Tick end = sim::fromSeconds(4.0);
+    EXPECT_NEAR(reg.health(0).failureRate(end), 0.5, 0.05);
+    EXPECT_GT(reg.health(0).eventWeight(end), 4.0);
+    EXPECT_EQ(reg.state(0), core::BreakerState::Closed);
+    EXPECT_EQ(reg.opens(), 0);
+}
+
 TEST(Brownout, EscalatesWithDwellAndRestoresWithHysteresis)
 {
     core::BrownoutController ctl; // 0.90/0.65 KV, 1.5/0.75 burn, 4 s
@@ -1137,6 +1172,24 @@ TEST(Brownout, EscalatesWithDwellAndRestoresWithHysteresis)
     EXPECT_EQ(ctl.escalations(), 2);
     EXPECT_EQ(ctl.restorations(), 2);
     EXPECT_EQ(ctl.maxLevelReached(), 2);
+}
+
+TEST(Brownout, RestoreNeedsBothSignalsBelowLowWatermarks)
+{
+    core::BrownoutController ctl;
+    ctl.observe(sim::fromSeconds(5.0), 0.95, 0.0);
+    ASSERT_EQ(ctl.level(), 1);
+
+    // KV relief alone does not restore while burn sits mid-band...
+    ctl.observe(sim::fromSeconds(10.0), 0.5, 1.0);
+    EXPECT_EQ(ctl.level(), 1);
+    // ...nor does burn relief while KV sits mid-band.
+    ctl.observe(sim::fromSeconds(15.0), 0.80, 0.1);
+    EXPECT_EQ(ctl.level(), 1);
+    // Both at or below their low watermarks: one step down.
+    ctl.observe(sim::fromSeconds(20.0), 0.65, 0.75);
+    EXPECT_EQ(ctl.level(), 0);
+    EXPECT_EQ(ctl.restorations(), 1);
 }
 
 TEST(Brownout, ApplyTrimsWidthThenDowngradesDeadlineless)
@@ -1595,6 +1648,29 @@ TEST(ClusterValidation, RejectsMalformedFaultsAndMaintenance)
     quiet.faults.nodeRestartMeanSeconds = 0.0;
     quiet.faults.stallMeanSeconds = 0.0;
     core::validateClusterConfig(quiet);
+}
+
+TEST(ClusterValidation, AcceptsBoundaryFaultAndMaintenanceSettings)
+{
+    // The closed ends of every checked range pass validation: tool
+    // fault probabilities of exactly 0 and 1, and zero maintenance
+    // period, downtime and drain deadline.
+    auto cfg = smallCluster(core::RoutePolicy::RoundRobin);
+    cfg.numRequests = 20;
+    cfg.faults.toolFailureProb = 1.0;
+    cfg.faults.toolSlowdownProb = 0.0;
+    cfg.maintenance.periodSeconds = 0.0;
+    cfg.maintenance.downtimeSeconds = 0.0;
+    cfg.maintenance.drainDeadlineSeconds = 0.0;
+    core::validateClusterConfig(cfg);
+    cfg.faults.toolSlowdownProb = 1.0;
+    core::validateClusterConfig(cfg);
+
+    // A run where every tool call fails still completes every request:
+    // the agents absorb the error observations.
+    const auto r = core::runCluster(cfg);
+    EXPECT_EQ(r.completed, 20);
+    EXPECT_EQ(r.failed, 0);
 }
 
 } // namespace

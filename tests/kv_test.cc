@@ -576,6 +576,31 @@ TEST(BlockManagerTiers, DualResidencyRestoresFromDram)
     mgr.checkInvariants();
 }
 
+// Tier admission is unconditional: every HBM victim is demoted while
+// the tier has room, and comes back on the next prompt that needs it.
+TEST(BlockManagerTiers, EveryHbmVictimIsDemoted)
+{
+    BlockManager mgr(tierCfg(2, 4));
+    const auto a = tokenRange(0, 32);
+    const auto b = tokenRange(9000, 32);
+    ASSERT_TRUE(mgr.allocatePrompt(1, a).has_value());
+    mgr.release(1);
+    ASSERT_TRUE(mgr.allocatePrompt(2, b).has_value());
+    EXPECT_EQ(mgr.stats().evictions, 2);
+    EXPECT_EQ(mgr.stats().dram.demotedBlocks, 2);
+    EXPECT_EQ(mgr.hostCachedBlocks(), 2);
+    mgr.release(2);
+
+    auto ra = mgr.allocatePrompt(3, a);
+    ASSERT_TRUE(ra.has_value());
+    EXPECT_EQ(ra->dramRestoredTokens, 32);
+    EXPECT_EQ(mgr.stats().evictions, 4);
+    EXPECT_EQ(mgr.stats().dram.demotedBlocks, 4);
+    // a left the tier on restore; b took its place.
+    EXPECT_EQ(mgr.hostCachedBlocks(), 2);
+    mgr.checkInvariants();
+}
+
 TEST(BlockManagerTiers, ParkChainFreesGpuAndPrefetchRestores)
 {
     BlockManager mgr(tierCfg(4, 8));

@@ -164,6 +164,24 @@ TEST(Recovery, FaultScheduleIdenticalWithCheckpointingOnOrOff)
     EXPECT_DOUBLE_EQ(off.recovery.recoveredGpuSeconds, 0.0);
 }
 
+TEST(Recovery, CheckpointedChaosRunIsRunToRunDeterministic)
+{
+    // Checkpoint admission draws no randomness, so two runs of one
+    // config journal and resume identically.
+    auto cfg = chaosCluster();
+    cfg.checkpoint.enabled = true;
+    const auto a = core::runCluster(cfg);
+    const auto b = core::runCluster(cfg);
+    ASSERT_GT(a.recovery.checkpointsTaken, 0);
+    EXPECT_EQ(a.recovery.checkpointsTaken, b.recovery.checkpointsTaken);
+    EXPECT_EQ(a.recovery.bytesWritten, b.recovery.bytesWritten);
+    EXPECT_EQ(a.recovery.resumes, b.recovery.resumes);
+    EXPECT_DOUBLE_EQ(a.recovery.recoveredGpuSeconds,
+                     b.recovery.recoveredGpuSeconds);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
+}
+
 // ---------------------------------------------------------------
 // Cluster-level resume accounting.
 // ---------------------------------------------------------------

@@ -64,6 +64,31 @@ TEST(SampleSet, MeanStdDev)
     EXPECT_NEAR(s.stddev(), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
+TEST(SampleSet, ExtremesAndSumIgnoreInsertionOrder)
+{
+    SampleSet s;
+    for (double x : {4.0, -1.5, 9.0, 2.5})
+        s.add(x);
+    EXPECT_EQ(s.count(), 4u);
+    EXPECT_DOUBLE_EQ(s.min(), -1.5);
+    EXPECT_DOUBLE_EQ(s.max(), 9.0);
+    EXPECT_DOUBLE_EQ(s.sum(), 14.0);
+    // Raw samples keep insertion order; queries never reorder them.
+    EXPECT_DOUBLE_EQ(s.median(), 3.25);
+    EXPECT_DOUBLE_EQ(s.values().front(), 4.0);
+    EXPECT_DOUBLE_EQ(s.values().back(), 2.5);
+}
+
+TEST(SampleSet, EmptySetReportsNoSamples)
+{
+    SampleSet s;
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.count(), 0u);
+    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
+    EXPECT_DEATH(s.min(), "min of empty sample set");
+    EXPECT_DEATH(s.max(), "max of empty sample set");
+}
+
 TEST(Histogram, BinningAndEdges)
 {
     Histogram h(0.0, 10.0, 5);

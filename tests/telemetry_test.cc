@@ -592,6 +592,27 @@ TEST(Slo, MinWindowSamplesDebouncesAlerts)
     EXPECT_EQ(slo.alertsFired(), 1);
 }
 
+TEST(Slo, AlertNeedsTwiceTheErrorBudget)
+{
+    // A 95% attainment target leaves a 5% budget; the alert fires at
+    // 2x burn, so 10% violations in a window.
+    SloTracker slo(tightTtft());
+    for (int i = 0; i < 20; ++i) {
+        const double seconds = i == 19 ? 5.0 : 0.5; // 1/20 = 1x burn
+        slo.observe(SloMetric::Ttft, sim::fromSeconds(0.1 * i), seconds);
+    }
+    EXPECT_NEAR(
+        slo.windowBurnRate(SloMetric::Ttft, sim::fromSeconds(2.0)), 1.0,
+        1e-12);
+    EXPECT_EQ(slo.alertsFired(), 0);
+    // A second violation: 2/21 is still just under 2x burn...
+    slo.observe(SloMetric::Ttft, sim::fromSeconds(2.0), 5.0);
+    EXPECT_EQ(slo.alertsFired(), 0);
+    // ...a third reaches 3/22 = 2.7x and fires.
+    slo.observe(SloMetric::Ttft, sim::fromSeconds(2.1), 5.0);
+    EXPECT_EQ(slo.alertsFired(), 1);
+}
+
 TEST(Slo, ExportMetricsEmitsFamiliesOnlyForEnabledMetrics)
 {
     SloTracker slo(tightTtft());

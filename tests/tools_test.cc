@@ -166,4 +166,46 @@ TEST(Tool, ConcurrencyLimitSerializesCalls)
     EXPECT_NEAR(sim::toSeconds(sim.now()), 3.0, 1e-6);
 }
 
+TEST(ToolFaults, FailedCallBurnsFixedTimeAndReturnsErrorText)
+{
+    Simulation sim;
+    tools::StochasticTool tool(
+        sim, "flaky", {LatencySpec::Dist::Constant, 0.25, 0.0},
+        {50.0, 0.0, 50, 50});
+    tools::FaultProfile faults;
+    faults.failureProb = 1.0;
+    tool.setFaults(faults);
+    sim::Rng rng(1, "flaky", 0);
+    auto t = invokeOnce(tool, rng);
+    sim.run();
+    const ToolResult r = t.result();
+    // A failure skips the real call and burns a fixed 1 s instead.
+    EXPECT_TRUE(r.failed);
+    EXPECT_DOUBLE_EQ(r.latencySeconds, 1.0);
+    EXPECT_EQ(r.observationTokens, faults.failureObservationTokens);
+    EXPECT_EQ(tool.failures(), 1);
+    EXPECT_EQ(tool.slowdowns(), 0);
+}
+
+TEST(ToolFaults, SlowdownStretchesLatencyFourfold)
+{
+    Simulation sim;
+    tools::StochasticTool tool(
+        sim, "spiky", {LatencySpec::Dist::Constant, 0.25, 0.0},
+        {50.0, 0.0, 50, 50});
+    tools::FaultProfile faults;
+    faults.slowdownProb = 1.0;
+    tool.setFaults(faults);
+    sim::Rng rng(1, "spiky", 0);
+    auto t = invokeOnce(tool, rng);
+    sim.run();
+    const ToolResult r = t.result();
+    // A spike keeps the real observation but takes 4x as long.
+    EXPECT_FALSE(r.failed);
+    EXPECT_NEAR(r.latencySeconds, 4 * 0.25, 1e-9);
+    EXPECT_EQ(r.observationTokens, 50);
+    EXPECT_EQ(tool.failures(), 0);
+    EXPECT_EQ(tool.slowdowns(), 1);
+}
+
 } // namespace
